@@ -85,6 +85,9 @@ type document struct {
 	Ext11 json.RawMessage `json:"ext11,omitempty"`
 }
 
+// coreSchema is the BENCH_core.json schema the default mode writes.
+const coreSchema = "nashlb/bench-core/v2"
+
 // serveSchema is the BENCH_serve.json schema version the merge mode writes
 // (schema 5 = serving experiments incl. ext12_partition plus the
 // "throughput" key). serveSchemaPrev documents the one older version the
@@ -148,7 +151,7 @@ func main() {
 // scanBench parses `go test -bench` text output into a bench-core
 // document, folding repeated runs and attaching seed baselines.
 func scanBench(r io.Reader) (*document, error) {
-	doc := &document{Schema: "nashlb/bench-core/v2", GoVersion: runtime.Version()}
+	doc := &document{Schema: coreSchema, GoVersion: runtime.Version()}
 	byKey := map[string]*entry{}
 
 	sc := bufio.NewScanner(r)

@@ -1,0 +1,57 @@
+package experiments
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"testing"
+)
+
+// decodeStrict decodes data into v, rejecting fields v does not declare.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// TestCommittedBenchSections decodes the sections of the committed BENCH
+// files that this package writes, at the schema it writes them: every
+// serving experiment of BENCH_serve.json, and the EXT11 sweep embedded in
+// BENCH_core.json. cmd/benchjson's tests cover the keys that tool adds.
+func TestCommittedBenchSections(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_serve.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serve struct {
+		serveBench
+		Throughput json.RawMessage `json:"throughput"`
+	}
+	if err := decodeStrict(raw, &serve); err != nil {
+		t.Fatalf("BENCH_serve.json: %v", err)
+	}
+	if serve.Schema != serveBenchSchema {
+		t.Fatalf("BENCH_serve.json has schema %d, ServeBenchJSON writes %d", serve.Schema, serveBenchSchema)
+	}
+	if serve.Ext8 == nil || serve.Ext9 == nil || serve.Ext10 == nil || serve.Ext12 == nil {
+		t.Fatal("BENCH_serve.json lacks a serving experiment (ext8, ext9, ext10 and ext12 are all written)")
+	}
+
+	raw, err = os.ReadFile("../../BENCH_core.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var core struct {
+		Ext11 json.RawMessage `json:"ext11"`
+	}
+	if err := json.Unmarshal(raw, &core); err != nil {
+		t.Fatalf("BENCH_core.json: %v", err)
+	}
+	var ext11 ext11Bench
+	if err := decodeStrict(core.Ext11, &ext11); err != nil {
+		t.Fatalf("BENCH_core.json ext11: %v", err)
+	}
+	if ext11.Experiment != "ext11_megascale" || len(ext11.Points) == 0 {
+		t.Fatalf("BENCH_core.json ext11 holds %q with %d points", ext11.Experiment, len(ext11.Points))
+	}
+}

@@ -296,19 +296,26 @@ func (r *Ext9Result) bench() ext9Bench {
 	return out
 }
 
+// serveBenchSchema is the BENCH_serve.json schema version ServeBenchJSON
+// writes: one key per serving experiment, plus the "throughput" key merged
+// in afterwards by cmd/benchjson -serve. Schema 5 added ext12_partition to
+// schema 4's keys.
+const serveBenchSchema = 5
+
+// serveBench is the document ServeBenchJSON writes.
+type serveBench struct {
+	Schema int         `json:"schema"`
+	Ext8   *ext8Bench  `json:"ext8_live_serving,omitempty"`
+	Ext9   *ext9Bench  `json:"ext9_self_healing,omitempty"`
+	Ext10  *ext10Bench `json:"ext10_fleet,omitempty"`
+	Ext12  *ext12Bench `json:"ext12_partition,omitempty"`
+}
+
 // ServeBenchJSON combines the EXT8, EXT9, EXT10 and EXT12 results into the
-// BENCH_serve.json document (schema 5: one key per serving experiment,
-// plus the "throughput" key merged in afterwards by cmd/benchjson -serve;
-// schema 5 added ext12_partition to schema 4's keys). Any result may be
+// BENCH_serve.json document (schema serveBenchSchema). Any result may be
 // nil; its key is then omitted.
 func ServeBenchJSON(ext8 *Ext8Result, ext9 *Ext9Result, ext10 *Ext10Result, ext12 *Ext12Result) ([]byte, error) {
-	doc := struct {
-		Schema int         `json:"schema"`
-		Ext8   *ext8Bench  `json:"ext8_live_serving,omitempty"`
-		Ext9   *ext9Bench  `json:"ext9_self_healing,omitempty"`
-		Ext10  *ext10Bench `json:"ext10_fleet,omitempty"`
-		Ext12  *ext12Bench `json:"ext12_partition,omitempty"`
-	}{Schema: 5}
+	doc := serveBench{Schema: serveBenchSchema}
 	if ext8 != nil {
 		b := ext8.bench()
 		doc.Ext8 = &b

@@ -5,15 +5,23 @@
 // game collapses to a weighted game over user *classes*. A class of one
 // million users costs exactly as much to solve as a single user.
 //
+// The same fact holds for machines: machines with identical rate that the
+// same classes may use are interchangeable, so the solver collapses them
+// into machine *types* and a type of identical machines costs exactly as
+// much as one machine. The speed-up needs repeated machine rates, as in the
+// paper's Table-1 system of four speeds; with all-distinct rates every type
+// is one machine and the cost is per machine.
+//
 // The package provides three pieces:
 //
 //   - user classes (Class, ClassSystem): an aggregated description of the
 //     population with exact round-trip expansion back to per-user strategies;
 //   - a sparse CSR strategy profile (ClassProfile) storing fractions only for
 //     the machines a class is allowed to touch;
-//   - an incremental best-reply solver (Solve, SolveFrom) whose per-class
-//     machine ordering and spare-capacity caches are repaired, not rebuilt,
-//     between rounds, driven by a dirty-set of machines whose load changed.
+//   - an incremental best-reply solver (Solve, SolveFrom) over machine types,
+//     whose per-class type ordering and spare-capacity caches are repaired,
+//     not rebuilt, between rounds, driven by a dirty-set of types whose load
+//     changed; the per-machine profile is built once, when the solve returns.
 //
 // SolveSystem adapts a dense per-user game.System through the class engine
 // and back, and is a drop-in replacement for core.Solve.

@@ -62,29 +62,32 @@ type Result struct {
 	// unchanged, so no best response was recomputed.
 	Skips int64
 	// StateBytes is the resident size of the solver state (profile plus
-	// per-class caches), the memory figure reported by EXT11.
+	// per-type state and per-class caches), the memory figure reported by
+	// EXT11.
 	StateBytes int64
 }
 
-// classState is the solver's per-class cache. cols and frac alias the
-// profile row; A, sqrtA and order are the incremental water-filling caches:
-// A[k] is the processing rate of machine cols[k] available to the class
-// (mu - load + ownWeight*frac, unchanged by the class's own moves), and
-// order holds positions 0..len(cols)-1 sorted by decreasing A with ties
-// broken by ascending position — the same canonical order
+// classState is the solver's per-class cache, kept per machine type (see
+// groupMachines). cols lists the types the class may use, ascending, and
+// g their sizes; frac[k] is the per-member fraction sent to each machine of
+// type cols[k]. A, sqrtA and order are the incremental water-filling caches:
+// A[k] is the processing rate of each machine of type cols[k] available to
+// the class (mu - load + ownWeight*frac, unchanged by the class's own
+// moves), and order holds positions 0..len(cols)-1 sorted by decreasing A
+// with ties broken by ascending position — the same canonical order
 // numeric.ArgsortDescending produces.
 type classState struct {
-	phi     float64
-	w       float64 // Count
-	weight  float64 // Count * Phi
-	cols    []int32
-	frac    []float64
-	A       []float64
-	sqrtA   []float64
-	order   []int32
-	newFrac []float64
+	phi    float64
+	w      float64 // Count
+	weight float64 // Count * Phi
+	cols   []int32
+	g      []float64
+	frac   []float64
+	A      []float64
+	sqrtA  []float64
+	order  []int32
 	// lastTick is the solver tick this class last solved (or verified
-	// itself clean) against; machines stamped later are dirty. -1 = never.
+	// itself clean) against; types stamped later are dirty. -1 = never.
 	lastTick int64
 	// lastD is D_c after the class's previous update (0 for a zero row or
 	// non-finite D, matching core.SolveFrom's NASH_0 semantics).
@@ -107,7 +110,7 @@ func (st *classState) Less(i, j int) bool {
 func (st *classState) Swap(i, j int) { st.order[i], st.order[j] = st.order[j], st.order[i] }
 
 // insertionRepair restores the canonical order by insertion sort, which runs
-// in O(len + inversions): cheap when only a few machines moved.
+// in O(len + inversions): cheap when only a few types moved.
 func (st *classState) insertionRepair() {
 	order, A := st.order, st.A
 	for i := 1; i < len(order); i++ {
@@ -126,22 +129,32 @@ func (st *classState) insertionRepair() {
 	}
 }
 
-// solver is the mutable state of one Solve call.
+// solver is the mutable state of one Solve call. It works over machine
+// types rather than machines: every sum a best response takes runs over the
+// class's types, weighted by type size, so a type costs what one machine
+// costs.
 type solver struct {
-	cs   *ClassSystem
-	prof *ClassProfile
-	// loads[j] is the incrementally maintained lambda_j; comp[j] its
-	// Neumaier compensation, folded in by refresh.
+	cs *ClassSystem
+	// typeOf[j] is machine j's type; type t has size[t] machines, each of
+	// rate rate[t].
+	typeOf []int32
+	rate   []float64
+	size   []float64
+	// loads[t] is the incrementally maintained lambda of each machine of
+	// type t; comp[t] its Neumaier compensation, folded in by refresh.
 	loads []float64
 	comp  []float64
-	// stamp[j] is the tick of machine j's last load change; lastChange the
+	// stamp[t] is the tick of type t's last load change; lastChange the
 	// most recent stamp anywhere, for an O(1) clean-skip per class.
 	stamp      []int64
 	tick       int64
 	lastChange int64
 	classes    []classState
-	solves     int64
-	skips      int64
+	// newFrac is the scratch best response of the class being solved,
+	// sized to the widest class.
+	newFrac []float64
+	solves  int64
+	skips   int64
 }
 
 // Solve runs the class-aggregated NASH best-reply iteration from the
@@ -153,18 +166,16 @@ func Solve(cs *ClassSystem, opts Options) (*Result, error) {
 	if err := cs.Validate(); err != nil {
 		return nil, err
 	}
-	var start *ClassProfile
+	s := newSolver(cs, nil)
 	if opts.Init == core.InitProportional {
-		start = ProportionalClassProfile(cs)
-	} else {
-		start = NewClassProfile(cs)
+		s.proportional()
 	}
-	return solveFrom(cs, start, opts)
+	return s.solve(opts)
 }
 
 // SolveFrom runs the iteration from an explicit starting profile (warm
 // start). The profile must have been built for cs (same row and column
-// structure); it is cloned, not mutated.
+// structure); it is not mutated.
 func SolveFrom(cs *ClassSystem, start *ClassProfile, opts Options) (*Result, error) {
 	if err := cs.Validate(); err != nil {
 		return nil, err
@@ -172,14 +183,15 @@ func SolveFrom(cs *ClassSystem, start *ClassProfile, opts Options) (*Result, err
 	if start == nil {
 		return nil, fmt.Errorf("megascale: nil starting profile")
 	}
-	if !start.sameShape(NewClassProfile(cs)) {
+	if !start.shapedFor(cs) {
 		return nil, fmt.Errorf("megascale: starting profile shape does not match the class system")
 	}
-	return solveFrom(cs, start.Clone(), opts)
+	return newSolver(cs, start).solve(opts)
 }
 
-// solveFrom owns prof (already cloned or freshly built).
-func solveFrom(cs *ClassSystem, prof *ClassProfile, opts Options) (*Result, error) {
+// solve iterates best-reply rounds to convergence and builds the result,
+// including the per-machine profile.
+func (s *solver) solve(opts Options) (*Result, error) {
 	eps := opts.Epsilon
 	if eps <= 0 {
 		eps = core.DefaultEpsilon
@@ -193,9 +205,7 @@ func solveFrom(cs *ClassSystem, prof *ClassProfile, opts Options) (*Result, erro
 		refreshEvery = DefaultRefreshEvery
 	}
 
-	s := newSolver(cs, prof)
-	res := &Result{Init: opts.Init, Profile: prof}
-	res.Norms = make([]float64, 0, maxRounds)
+	res := &Result{Init: opts.Init}
 	for round := 1; round <= maxRounds; round++ {
 		norm, maxShift, err := s.round()
 		if err != nil {
@@ -215,7 +225,7 @@ func solveFrom(cs *ClassSystem, prof *ClassProfile, opts Options) (*Result, erro
 		}
 	}
 	s.recomputeLoads() // exact loads for the final report
-	res.ClassTimes = make([]float64, len(cs.Classes))
+	res.ClassTimes = make([]float64, len(s.classes))
 	var overall numeric.Accumulator
 	for c := range s.classes {
 		st := &s.classes[c]
@@ -223,9 +233,10 @@ func solveFrom(cs *ClassSystem, prof *ClassProfile, opts Options) (*Result, erro
 		res.ClassTimes[c] = d
 		overall.Add(st.weight * d)
 	}
-	res.OverallTime = overall.Value() / cs.TotalArrival()
+	res.OverallTime = overall.Value() / s.cs.TotalArrival()
 	res.Solves, res.Skips = s.solves, s.skips
-	res.StateBytes = s.stateBytes()
+	res.Profile = s.profile()
+	res.StateBytes = s.stateBytes(res.Profile)
 	if !res.Converged {
 		return res, fmt.Errorf("%w after %d rounds (norm=%g, eps=%g)",
 			core.ErrNotConverged, res.Rounds, res.Norms[len(res.Norms)-1], eps)
@@ -233,44 +244,249 @@ func solveFrom(cs *ClassSystem, prof *ClassProfile, opts Options) (*Result, erro
 	return res, nil
 }
 
-func newSolver(cs *ClassSystem, prof *ClassProfile) *solver {
-	n := len(cs.Rates)
+// groupMachines partitions cs's machines into types: machines with
+// bitwise-equal rates that the same classes may use and, when start is
+// non-nil, that start with bitwise-equal fractions in every class row.
+// Members of a type are interchangeable in the game, and a best reply
+// treats interchangeable machines alike, so an iteration that starts them
+// alike keeps them alike and one entry per type carries the whole type.
+// Types are numbered in order of their lowest machine, so with all-distinct
+// rates type j is machine j.
+//
+// The partition starts from the rate groups and is refined by each class
+// row: a group splits when only some of its machines are in the row, or
+// when they start with different fractions there. Without a start, a class
+// allowed every machine splits nothing and is not scanned.
+func groupMachines(cs *ClassSystem, start *ClassProfile) (typeOf []int32, size []float64) {
+	of := make([]int32, len(cs.Rates))
+	count := make([]int, 0, len(cs.Rates))
+	byRate := make(map[uint64]int32)
+	for j, mu := range cs.Rates {
+		b, ok := byRate[math.Float64bits(mu)]
+		if !ok {
+			b = int32(len(count))
+			byRate[math.Float64bits(mu)] = b
+			count = append(count, 0)
+		}
+		of[j] = b
+		count[b]++
+	}
+
+	// Per-group scratch of one refinement: mark[b] is the class whose row
+	// last touched group b (-1 when b stays whole), first[b] the start
+	// value of b's first machine in the row and hit[b] how many of b's
+	// machines the row holds with that value.
+	var mark, hit []int
+	var first []uint64
+	var touched []int32
+	var moved map[[2]uint64]int32
+	for c := range cs.Classes {
+		var cols []int32
+		var vals []float64
+		if start != nil {
+			cols, vals = start.Row(c)
+		} else if cols = cs.Classes[c].Machines; cols == nil {
+			continue
+		}
+		for len(mark) < len(count) {
+			mark, hit, first = append(mark, -1), append(hit, 0), append(first, 0)
+		}
+		value := func(k int) uint64 {
+			if vals == nil {
+				return 0
+			}
+			return math.Float64bits(vals[k])
+		}
+		touched = touched[:0]
+		for k, j := range cols {
+			b, v := of[j], value(k)
+			if mark[b] != c {
+				mark[b], first[b], hit[b] = c, v, 0
+				touched = append(touched, b)
+			}
+			if v == first[b] {
+				hit[b]++
+			}
+		}
+		whole := true
+		for _, b := range touched {
+			if hit[b] == count[b] {
+				mark[b] = -1
+			} else {
+				whole = false
+			}
+		}
+		if whole {
+			continue
+		}
+		// Move the row's machines of every group that splits into new
+		// groups keyed by (old group, start value); the rest stay put.
+		if moved == nil {
+			moved = make(map[[2]uint64]int32)
+		}
+		clear(moved)
+		for k, j := range cols {
+			b := of[j]
+			if mark[b] != c {
+				continue
+			}
+			key := [2]uint64{uint64(b), value(k)}
+			nb, ok := moved[key]
+			if !ok {
+				nb = int32(len(count))
+				moved[key] = nb
+				count = append(count, 0)
+			}
+			of[j] = nb
+			count[b]--
+			count[nb]++
+		}
+	}
+
+	// Number the non-empty groups in order of their lowest machine.
+	size = make([]float64, 0, len(count))
+	renum := make([]int32, len(count))
+	for b := range renum {
+		renum[b] = -1
+	}
+	for j, b := range of {
+		if renum[b] < 0 {
+			renum[b] = int32(len(size))
+			size = append(size, 0)
+		}
+		of[j] = renum[b]
+		size[of[j]]++
+	}
+	return of, size
+}
+
+// newSolver groups cs's machines into types and loads the starting
+// fractions from start, or the all-zero NASH_0 start when start is nil.
+func newSolver(cs *ClassSystem, start *ClassProfile) *solver {
+	typeOf, size := groupMachines(cs, start)
+	types := len(size)
 	s := &solver{
 		cs:      cs,
-		prof:    prof,
-		loads:   make([]float64, n),
-		comp:    make([]float64, n),
-		stamp:   make([]int64, n),
+		typeOf:  typeOf,
+		rate:    make([]float64, types),
+		size:    size,
+		loads:   make([]float64, types),
+		comp:    make([]float64, types),
+		stamp:   make([]int64, types),
 		classes: make([]classState, len(cs.Classes)),
 	}
+	for j, t := range typeOf {
+		s.rate[t] = cs.Rates[j]
+	}
+	// A class allowed every machine uses every type: those classes share
+	// one type list. listed[t] is 1 + the last class that listed type t.
+	all := make([]int32, types)
+	for t := range all {
+		all[t] = int32(t)
+	}
+	var listed []int
 	for c := range s.classes {
 		st := &s.classes[c]
 		cl := cs.Classes[c]
 		st.phi = cl.Phi
 		st.w = float64(cl.Count)
 		st.weight = cl.Weight()
-		st.cols, st.frac = prof.Row(c)
+		if cl.Machines == nil {
+			st.cols, st.g = all, size
+		} else {
+			// A type lies wholly inside or outside the row, and its first
+			// machine in the ascending row is its lowest, so the types come
+			// out ascending.
+			if listed == nil {
+				listed = make([]int, types)
+			}
+			for _, j := range cl.Machines {
+				if t := typeOf[j]; listed[t] != c+1 {
+					listed[t] = c + 1
+					st.cols = append(st.cols, t)
+					st.g = append(st.g, size[t])
+				}
+			}
+		}
 		span := len(st.cols)
+		st.frac = make([]float64, span)
 		st.A = make([]float64, span)
 		st.sqrtA = make([]float64, span)
 		st.order = make([]int32, span)
-		st.newFrac = make([]float64, span)
+		if span > len(s.newFrac) {
+			s.newFrac = make([]float64, span)
+		}
 		for k := range st.order {
 			st.order[k] = int32(k)
 		}
 		st.lastTick = -1
 	}
-	s.recomputeLoads()
-	// D_c^(0): zero for all-zero rows (NASH_0 semantics) and for saturated
-	// (non-finite) times, the actual response time otherwise — the class
-	// image of core.SolveFrom's prevTimes initialization.
+	if start != nil {
+		// Every machine of a type starts with the type's fraction.
+		at := make([]float64, types)
+		for c := range s.classes {
+			cols, vals := start.Row(c)
+			for k, j := range cols {
+				at[typeOf[j]] = vals[k]
+			}
+			st := &s.classes[c]
+			for k, t := range st.cols {
+				st.frac[k] = at[t]
+			}
+		}
+	}
+	s.begin()
+	return s
+}
+
+// proportional loads the NASH_P start: each class splits in proportion to
+// the rates of its allowed machines, as ProportionalClassProfile does.
+func (s *solver) proportional() {
 	for c := range s.classes {
 		st := &s.classes[c]
+		var total numeric.Accumulator
+		for k, t := range st.cols {
+			total.Add(st.g[k] * s.rate[t])
+		}
+		tv := total.Value()
+		for k, t := range st.cols {
+			st.frac[k] = s.rate[t] / tv
+		}
+	}
+	s.begin()
+}
+
+// begin computes the loads of the starting fractions and each class's
+// D_c^(0): zero for all-zero rows (NASH_0 semantics) and for saturated
+// (non-finite) times, the actual response time otherwise — the class image
+// of core.SolveFrom's prevTimes initialization.
+func (s *solver) begin() {
+	s.recomputeLoads()
+	for c := range s.classes {
+		st := &s.classes[c]
+		st.lastD = 0
 		if d := s.classTime(st); !math.IsInf(d, 0) {
 			st.lastD = d
 		}
 	}
-	return s
+}
+
+// profile builds the per-machine profile: every machine carries its type's
+// fractions.
+func (s *solver) profile() *ClassProfile {
+	p := NewClassProfile(s.cs)
+	at := make([]float64, len(s.size))
+	for c := range s.classes {
+		st := &s.classes[c]
+		for k, t := range st.cols {
+			at[t] = st.frac[k]
+		}
+		cols, vals := p.Row(c)
+		for k, j := range cols {
+			vals[k] = at[s.typeOf[j]]
+		}
+	}
+	return p
 }
 
 // classTime returns the per-member expected response time of the class at
@@ -279,52 +495,52 @@ func newSolver(cs *ClassSystem, prof *ClassProfile) *solver {
 // 0 for an all-zero row.
 func (s *solver) classTime(st *classState) float64 {
 	var acc numeric.Accumulator
-	for k, j := range st.cols {
+	for k, t := range st.cols {
 		f := st.frac[k]
 		if f == 0 {
 			continue
 		}
-		rem := s.cs.Rates[j] - s.loads[j]
+		rem := s.rate[t] - s.loads[t]
 		if rem <= 0 {
 			return math.Inf(1)
 		}
-		acc.Add(f / rem)
+		acc.Add(st.g[k] * (f / rem))
 	}
 	return acc.Value()
 }
 
-// recomputeLoads rebuilds loads exactly from the profile with compensated
-// per-machine sums (the same arithmetic as ClassProfile.Loads).
+// recomputeLoads rebuilds loads exactly from the fractions with compensated
+// per-type sums (the same arithmetic as ClassProfile.Loads on each machine).
 func (s *solver) recomputeLoads() {
-	for j := range s.loads {
-		s.loads[j] = 0
-		s.comp[j] = 0
+	for t := range s.loads {
+		s.loads[t] = 0
+		s.comp[t] = 0
 	}
 	for c := range s.classes {
 		st := &s.classes[c]
-		for k, j := range st.cols {
-			addCompensated(s.loads, s.comp, int(j), st.weight*st.frac[k])
+		for k, t := range st.cols {
+			addCompensated(s.loads, s.comp, int(t), st.weight*st.frac[k])
 		}
 	}
-	for j := range s.loads {
-		s.loads[j] += s.comp[j]
+	for t := range s.loads {
+		s.loads[t] += s.comp[t]
 	}
 }
 
 // refresh is the periodic drift-bounding pass: exact loads, then every
-// machine is stamped dirty so each class revalidates its cached capacities
+// type is stamped dirty so each class revalidates its cached capacities
 // against the refreshed values on its next turn.
 func (s *solver) refresh() {
 	s.recomputeLoads()
 	s.tick++
 	s.lastChange = s.tick
-	for j := range s.stamp {
-		s.stamp[j] = s.tick
+	for t := range s.stamp {
+		s.stamp[t] = s.tick
 	}
 }
 
 // round performs one best-reply round: every class in turn revalidates its
-// dirty machines and, if anything changed, recomputes its symmetric best
+// dirty types and, if anything changed, recomputes its symmetric best
 // response and installs it. Classes whose available capacities are provably
 // unchanged are skipped outright — their best response, and hence their
 // norm contribution, is identical to the previous round's, which was
@@ -339,18 +555,18 @@ func (s *solver) round() (norm, maxShift float64, err error) {
 		}
 		changed := 0
 		if fresh {
-			for k, j := range st.cols {
-				a := s.cs.Rates[j] - s.loads[j] + st.weight*st.frac[k]
+			for k, t := range st.cols {
+				a := s.rate[t] - s.loads[t] + st.weight*st.frac[k]
 				st.A[k] = a
 				st.sqrtA[k] = sqrtPos(a)
 			}
 			changed = len(st.cols)
 		} else {
-			for k, j := range st.cols {
-				if s.stamp[j] <= st.lastTick {
+			for k, t := range st.cols {
+				if s.stamp[t] <= st.lastTick {
 					continue
 				}
-				a := s.cs.Rates[j] - s.loads[j] + st.weight*st.frac[k]
+				a := s.rate[t] - s.loads[t] + st.weight*st.frac[k]
 				if a != st.A[k] {
 					st.A[k] = a
 					st.sqrtA[k] = sqrtPos(a)
@@ -396,7 +612,7 @@ func sqrtPos(a float64) float64 {
 func (s *solver) solveClass(st *classState, fresh bool, changed int) (d, shift float64, err error) {
 	span := len(st.order)
 	// Repair the cached order: full sort when a large fraction of the
-	// machines moved (or on first touch), insertion repair otherwise.
+	// types moved (or on first touch), insertion repair otherwise.
 	if fresh || changed*8 > span {
 		sort.Sort(st)
 	} else {
@@ -427,13 +643,14 @@ func (s *solver) solveClass(st *classState, fresh bool, changed int) (d, shift f
 	// u_k is the member-residual capacity: t*sqrt(A_k) in the singleton
 	// case (exactly core.Optimal's water-filling step) and the KKT root
 	// for weighted classes.
-	for k := range st.newFrac {
-		st.newFrac[k] = 0
+	newFrac := s.newFrac[:span]
+	for k := range newFrac {
+		newFrac[k] = 0
 	}
 	if c == 1 {
-		// Single active machine: assigning 1 directly avoids losing the
-		// answer to cancellation when A >> W (same as core.Optimal).
-		st.newFrac[st.order[0]] = 1
+		// Single active type: splitting it evenly directly avoids losing
+		// the answer to cancellation when A >> W (same as core.Optimal).
+		newFrac[st.order[0]] = 1 / st.g[st.order[0]]
 	} else {
 		wm1 := st.w - 1
 		den := 2 * st.w * alpha
@@ -451,35 +668,35 @@ func (s *solver) solveClass(st *classState, fresh bool, changed int) (d, shift f
 			if f < 0 {
 				return 0, 0, fmt.Errorf("megascale: internal error: negative fraction %g at order %d", f, x)
 			}
-			st.newFrac[k] = f
-			total.Add(f)
+			newFrac[k] = f
+			total.Add(st.g[k] * f)
 		}
 		tv := total.Value()
 		if !(tv > 0) || math.IsInf(tv, 0) || math.IsNaN(tv) {
 			// Catastrophic cancellation across extreme rate spreads:
-			// fall back to the dominant machine, the water-filling limit
+			// fall back to the dominant type, the water-filling limit
 			// in that regime (mirrors core.Optimal).
 			for x := 0; x < c; x++ {
-				st.newFrac[st.order[x]] = 0
+				newFrac[st.order[x]] = 0
 			}
-			st.newFrac[st.order[0]] = 1
+			newFrac[st.order[0]] = 1 / st.g[st.order[0]]
 		} else if tv != 1 {
 			for x := 0; x < c; x++ {
 				k := st.order[x]
-				if st.newFrac[k] > 0 {
-					st.newFrac[k] /= tv
+				if newFrac[k] > 0 {
+					newFrac[k] /= tv
 				}
 			}
 		}
 	}
 
 	// Per-member response time at the new strategy, against the capacities
-	// the class saw: D = sum s_k/(A_k - W*s_k) — the class image of
-	// core.ResponseTime.
+	// the class saw: D = sum s_k/(A_k - W*s_k) over machines — the class
+	// image of core.ResponseTime.
 	var acc numeric.Accumulator
 	dInf := false
 	for x := 0; x < span; x++ {
-		f := st.newFrac[x]
+		f := newFrac[x]
 		if f == 0 {
 			continue
 		}
@@ -488,7 +705,7 @@ func (s *solver) solveClass(st *classState, fresh bool, changed int) (d, shift f
 			dInf = true
 			break
 		}
-		acc.Add(f / rem)
+		acc.Add(st.g[x] * (f / rem))
 	}
 	if dInf {
 		d = math.Inf(1)
@@ -496,10 +713,10 @@ func (s *solver) solveClass(st *classState, fresh bool, changed int) (d, shift f
 		d = acc.Value()
 	}
 
-	// Install: update the shared loads and stamp the machines that moved.
+	// Install: update the shared loads and stamp the types that moved.
 	bumped := false
-	for k, j := range st.cols {
-		delta := st.newFrac[k] - st.frac[k]
+	for k, t := range st.cols {
+		delta := newFrac[k] - st.frac[k]
 		if delta == 0 {
 			continue
 		}
@@ -508,10 +725,10 @@ func (s *solver) solveClass(st *classState, fresh bool, changed int) (d, shift f
 			s.lastChange = s.tick
 			bumped = true
 		}
-		s.loads[int(j)] += st.weight * delta
-		s.stamp[int(j)] = s.tick
-		shift += math.Abs(delta)
-		st.frac[k] = st.newFrac[k]
+		s.loads[t] += st.weight * delta
+		s.stamp[t] = s.tick
+		shift += st.g[k] * math.Abs(delta)
+		st.frac[k] = newFrac[k]
 	}
 	st.lastTick = s.tick
 	return d, shift, nil
@@ -520,13 +737,14 @@ func (s *solver) solveClass(st *classState, fresh bool, changed int) (d, shift f
 // solveSingleton finds the active prefix and water level for a size-1 class
 // by the paper's OPTIMAL shrink loop, identical in comparisons to
 // core.Optimal but with O(1) running prefix sums instead of re-summation:
-// t = (sum A - phi)/(sum sqrt A), shrinking while t >= sqrt(A_c).
+// t = (sum A - phi)/(sum sqrt A), shrinking while t >= sqrt(A_c). Each sum
+// runs over machines, a type of g machines contributing g terms.
 func (st *classState) solveSingleton(usable int) (c int, t float64, err error) {
 	var sumA, sumS float64
 	for x := 0; x < usable; x++ {
 		k := st.order[x]
-		sumA += st.A[k]
-		sumS += st.sqrtA[k]
+		sumA += st.g[k] * st.A[k]
+		sumS += st.g[k] * st.sqrtA[k]
 	}
 	if st.phi >= sumA {
 		return 0, 0, fmt.Errorf("%w: lambda=%g, available=%g", core.ErrInsufficientCapacity, st.phi, sumA)
@@ -535,8 +753,9 @@ func (st *classState) solveSingleton(usable int) (c int, t float64, err error) {
 	t = (sumA - st.phi) / sumS
 	for c > 1 && t >= st.sqrtA[st.order[c-1]] {
 		c--
-		sumA -= st.A[st.order[c]]
-		sumS -= st.sqrtA[st.order[c]]
+		k := st.order[c]
+		sumA -= st.g[k] * st.A[k]
+		sumS -= st.g[k] * st.sqrtA[k]
 		t = (sumA - st.phi) / sumS
 	}
 	return c, t, nil
@@ -549,11 +768,13 @@ func (st *classState) solveSingleton(usable int) (c int, t float64, err error) {
 //	w*alpha*u^2 - (w-1)*u - A_k = 0,  i.e.
 //	u_k(alpha) = [(w-1) + sqrt((w-1)^2 + 4*w*alpha*A_k)] / (2*w*alpha),
 //
-// with alpha chosen so sum_k u_k = sum_k A_k - W (conservation), and machine
-// k active iff alpha*A_k > 1. For w = 1 this reduces exactly to the paper's
-// water level (alpha = 1/t^2). The root is found by safeguarded Newton —
-// sum u_k is strictly decreasing in alpha — warm-started from the class's
-// previous multiplier, and the active prefix is iterated to consistency.
+// with alpha chosen so sum_k g_k*u_k = sum_k g_k*A_k - W (conservation over
+// machines, a type of g machines contributing g terms), and type k active
+// iff alpha*A_k > 1. For w = 1 this reduces exactly to the paper's water
+// level (alpha = 1/t^2). The root is found by safeguarded Newton —
+// sum g_k*u_k is strictly decreasing in alpha — warm-started from the
+// class's previous multiplier, and the active prefix is iterated to
+// consistency.
 func (st *classState) solveWeighted(usable int) (c int, alpha float64, err error) {
 	c = st.active
 	if c < 1 || c > usable {
@@ -562,8 +783,8 @@ func (st *classState) solveWeighted(usable int) (c int, alpha float64, err error
 	var sumA, sumS float64
 	for x := 0; x < c; x++ {
 		k := st.order[x]
-		sumA += st.A[k]
-		sumS += st.sqrtA[k]
+		sumA += st.g[k] * st.A[k]
+		sumS += st.g[k] * st.sqrtA[k]
 	}
 	alpha = st.alpha
 	for iter := 0; ; iter++ {
@@ -572,8 +793,8 @@ func (st *classState) solveWeighted(usable int) (c int, alpha float64, err error
 		}
 		for sumA <= st.weight && c < usable {
 			k := st.order[c]
-			sumA += st.A[k]
-			sumS += st.sqrtA[k]
+			sumA += st.g[k] * st.A[k]
+			sumS += st.g[k] * st.sqrtA[k]
 			c++
 		}
 		if sumA <= st.weight {
@@ -583,15 +804,17 @@ func (st *classState) solveWeighted(usable int) (c int, alpha float64, err error
 		// Consistency: the prefix implied by alpha is {k : alpha*A_k > 1}.
 		c2 := c
 		for c2 < usable && alpha*st.A[st.order[c2]] > 1 {
-			sumA += st.A[st.order[c2]]
-			sumS += st.sqrtA[st.order[c2]]
+			k := st.order[c2]
+			sumA += st.g[k] * st.A[k]
+			sumS += st.g[k] * st.sqrtA[k]
 			c2++
 		}
 		if c2 == c {
 			for c2 > 1 && alpha*st.A[st.order[c2-1]] <= 1 {
 				c2--
-				sumA -= st.A[st.order[c2]]
-				sumS -= st.sqrtA[st.order[c2]]
+				k := st.order[c2]
+				sumA -= st.g[k] * st.A[k]
+				sumS -= st.g[k] * st.sqrtA[k]
 			}
 		}
 		if c2 == c {
@@ -601,9 +824,10 @@ func (st *classState) solveWeighted(usable int) (c int, alpha float64, err error
 	}
 }
 
-// solveAlpha solves sum_{x<c} u_x(alpha) = sumA - W for alpha by Newton with
-// a bisection safeguard. The left-hand side decreases from +Inf (alpha->0)
-// to 0 (alpha->Inf), so the root exists and is unique whenever sumA > W.
+// solveAlpha solves sum_{x<c} g_x*u_x(alpha) = sumA - W for alpha by Newton
+// with a bisection safeguard. The left-hand side decreases from +Inf
+// (alpha->0) to 0 (alpha->Inf), so the root exists and is unique whenever
+// sumA > W.
 func (st *classState) solveAlpha(c int, sumA, sumS, warm float64) float64 {
 	target := sumA - st.weight
 	alpha := warm
@@ -619,11 +843,11 @@ func (st *classState) solveAlpha(c int, sumA, sumS, warm float64) float64 {
 		var sumU numeric.Accumulator
 		var dU float64
 		for x := 0; x < c; x++ {
-			A := st.A[st.order[x]]
-			r := math.Sqrt(wm1*wm1 + 2*den*A)
+			k := st.order[x]
+			r := math.Sqrt(wm1*wm1 + 2*den*st.A[k])
 			u := (wm1 + r) / den
-			sumU.Add(u)
-			dU -= st.w * u * u / r
+			sumU.Add(st.g[k] * u)
+			dU -= st.g[k] * st.w * u * u / r
 		}
 		F := sumU.Value() - target
 		if F > 0 {
@@ -653,13 +877,20 @@ func (st *classState) solveAlpha(c int, sumA, sumS, warm float64) float64 {
 }
 
 // stateBytes reports the resident size of the solver's arrays plus the
-// profile it mutates.
-func (s *solver) stateBytes() int64 {
-	bytes := s.prof.MemoryBytes()
-	bytes += int64(len(s.loads))*8 + int64(len(s.comp))*8 + int64(len(s.stamp))*8
+// per-machine profile built from them.
+func (s *solver) stateBytes(prof *ClassProfile) int64 {
+	bytes := prof.MemoryBytes() + int64(len(s.typeOf))*4 + int64(len(s.newFrac))*8
+	// Per type: rate, size, loads, comp, stamp, and the shared type list.
+	bytes += int64(len(s.size)) * (5*8 + 4)
 	for c := range s.classes {
 		st := &s.classes[c]
-		bytes += int64(len(st.A))*8 + int64(len(st.sqrtA))*8 + int64(len(st.newFrac))*8 + int64(len(st.order))*4
+		// frac, A, sqrtA and order, plus cols and g where the class owns
+		// them.
+		span := int64(len(st.cols))
+		bytes += span * (3*8 + 4)
+		if s.cs.Classes[c].Machines != nil {
+			bytes += span * (4 + 8)
+		}
 	}
 	return bytes
 }

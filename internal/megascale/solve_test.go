@@ -2,6 +2,7 @@ package megascale_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,19 +10,21 @@ import (
 	"nashlb/internal/game"
 	"nashlb/internal/megascale"
 	"nashlb/internal/numeric"
+	"nashlb/internal/rng"
 	"nashlb/internal/testutil"
 )
 
-// hasDuplicateArrivals reports whether two users share a bitwise-identical
-// arrival rate, in which case FromSystem would merge them and the dense and
-// class iterations would follow different (both correct) trajectories.
-func hasDuplicateArrivals(sys *game.System) bool {
+// hasDuplicates reports whether two entries are bitwise identical. Users
+// sharing an arrival rate are merged by FromSystem, and the dense and class
+// iterations then follow different (both correct) trajectories; machines
+// sharing a rate are collapsed into one machine type.
+func hasDuplicates(xs []float64) bool {
 	seen := map[float64]bool{}
-	for _, phi := range sys.Arrivals {
-		if seen[phi] {
+	for _, x := range xs {
+		if seen[x] {
 			return true
 		}
-		seen[phi] = true
+		seen[x] = true
 	}
 	return false
 }
@@ -38,7 +41,7 @@ func TestSolveSystemMatchesDenseSingletons(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: %v", idx, err)
 		}
-		if hasDuplicateArrivals(sys) {
+		if hasDuplicates(sys.Arrivals) {
 			continue
 		}
 		init := core.InitZero
@@ -48,31 +51,97 @@ func TestSolveSystemMatchesDenseSingletons(t *testing.T) {
 		opts := core.Options{Init: init}
 		want, errDense := core.Solve(sys, opts)
 		got, errClass := megascale.SolveSystem(sys, opts)
-		if (errDense == nil) != (errClass == nil) {
-			t.Fatalf("instance %d (%v): dense err=%v, class err=%v", idx, init, errDense, errClass)
+		checkMatchesDense(t, fmt.Sprintf("instance %d (%v)", idx, init), want, errDense, got, errClass)
+	}
+}
+
+// checkMatchesDense compares a class-engine result with the dense solver's
+// on the same game: identical error and convergence verdicts, round counts
+// within one, and profiles, user times and overall times within 1e-9.
+func checkMatchesDense(t *testing.T, what string, want *core.Result, errDense error, got *core.Result, errClass error) {
+	t.Helper()
+	if (errDense == nil) != (errClass == nil) {
+		t.Fatalf("%s: dense err=%v, class err=%v", what, errDense, errClass)
+	}
+	if errDense != nil {
+		return
+	}
+	if want.Converged != got.Converged {
+		t.Fatalf("%s: converged dense=%v class=%v", what, want.Converged, got.Converged)
+	}
+	if d := want.Rounds - got.Rounds; d < -1 || d > 1 {
+		t.Errorf("%s: rounds dense=%d class=%d", what, want.Rounds, got.Rounds)
+	}
+	for i := range want.Profile {
+		if d := numeric.MaxAbsDiff(want.Profile[i], got.Profile[i]); d > 1e-9 {
+			t.Fatalf("%s: user %d strategy differs by %g", what, i, d)
 		}
-		if errDense != nil {
+	}
+	for i := range want.UserTimes {
+		if !numeric.EqualWithin(want.UserTimes[i], got.UserTimes[i], 1e-9) {
+			t.Fatalf("%s: user %d time dense=%g class=%g", what, i, want.UserTimes[i], got.UserTimes[i])
+		}
+	}
+	if !numeric.EqualWithin(want.OverallTime, got.OverallTime, 1e-9) {
+		t.Fatalf("%s: overall dense=%g class=%g", what, want.OverallTime, got.OverallTime)
+	}
+}
+
+// table1Speeds are the computer speeds of the paper's Table 1 (jobs/s).
+var table1Speeds = []float64{10, 20, 50, 100}
+
+// withTable1Speeds redraws every machine rate of sys from the Table-1
+// speeds, so machines repeat rates, and rescales the arrivals to keep the
+// utilization.
+func withTable1Speeds(sys *game.System, seed uint64, idx int) (*game.System, error) {
+	r := rng.New(rng.SplitSeed(seed, uint64(idx)))
+	rates := make([]float64, len(sys.Rates))
+	for j := range rates {
+		rates[j] = table1Speeds[r.Intn(len(table1Speeds))]
+	}
+	scale := numeric.Sum(rates) / sys.TotalCapacity()
+	arrivals := make([]float64, len(sys.Arrivals))
+	for i, phi := range sys.Arrivals {
+		arrivals[i] = phi * scale
+	}
+	return game.NewSystem(rates, arrivals)
+}
+
+// TestSolveSystemMatchesDenseDuplicateRates is the grouped counterpart of
+// TestSolveSystemMatchesDenseSingletons: with rates drawn from the Table-1
+// speeds, machines repeat rates and the class engine solves over machine
+// types, while core.Solve keeps one entry per machine. The two must agree
+// to the same tolerances.
+func TestSolveSystemMatchesDenseDuplicateRates(t *testing.T) {
+	gen := testutil.InstanceGen{MaxComputers: 8, MaxUsers: 6}
+	const instances = 150
+	grouped := 0
+	for idx := 0; idx < instances; idx++ {
+		base, err := gen.Draw(0xd0b1e, idx)
+		if err != nil {
+			t.Fatalf("instance %d: %v", idx, err)
+		}
+		sys, err := withTable1Speeds(base, 0xd0b1e, idx)
+		if err != nil {
+			t.Fatalf("instance %d: %v", idx, err)
+		}
+		if hasDuplicates(sys.Arrivals) {
 			continue
 		}
-		if want.Converged != got.Converged {
-			t.Fatalf("instance %d (%v): converged dense=%v class=%v", idx, init, want.Converged, got.Converged)
+		if hasDuplicates(sys.Rates) {
+			grouped++
 		}
-		if d := want.Rounds - got.Rounds; d < -1 || d > 1 {
-			t.Errorf("instance %d (%v): rounds dense=%d class=%d", idx, init, want.Rounds, got.Rounds)
+		init := core.InitZero
+		if idx%2 == 1 {
+			init = core.InitProportional
 		}
-		for i := range want.Profile {
-			if d := numeric.MaxAbsDiff(want.Profile[i], got.Profile[i]); d > 1e-9 {
-				t.Fatalf("instance %d (%v): user %d strategy differs by %g", idx, init, i, d)
-			}
-		}
-		for i := range want.UserTimes {
-			if !numeric.EqualWithin(want.UserTimes[i], got.UserTimes[i], 1e-9) {
-				t.Fatalf("instance %d (%v): user %d time dense=%g class=%g", idx, init, i, want.UserTimes[i], got.UserTimes[i])
-			}
-		}
-		if !numeric.EqualWithin(want.OverallTime, got.OverallTime, 1e-9) {
-			t.Fatalf("instance %d (%v): overall dense=%g class=%g", idx, init, want.OverallTime, got.OverallTime)
-		}
+		opts := core.Options{Init: init}
+		want, errDense := core.Solve(sys, opts)
+		got, errClass := megascale.SolveSystem(sys, opts)
+		checkMatchesDense(t, fmt.Sprintf("instance %d (%v)", idx, init), want, errDense, got, errClass)
+	}
+	if grouped < instances/2 {
+		t.Fatalf("only %d of %d instances repeat a machine rate", grouped, instances)
 	}
 }
 
@@ -89,6 +158,139 @@ func replicate(cs *megascale.ClassSystem) (*game.System, []int, error) {
 	}
 	sys, err := game.NewSystem(cs.Rates, arrivals)
 	return sys, starts, err
+}
+
+// TestSolveFromUnequalStartMatchesDense starts two equal-rate machines from
+// different fractions in one class row. They must stay separate types, so
+// the class solver retraces core.SolveFrom from the same dense start: the
+// first round's norm agrees as well as the result.
+func TestSolveFromUnequalStartMatchesDense(t *testing.T) {
+	sys, err := game.NewSystem([]float64{10, 20, 20, 50, 10}, []float64{3.1, 7.3, 11.9, 5.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, userToClass := megascale.FromSystem(sys)
+	dense := game.ProportionalProfile(sys)
+	dense[1] = game.Strategy{0.2, 0.1, 0.3, 0.3, 0.1}
+	start := megascale.NewClassProfile(cs)
+	for i, c := range userToClass {
+		_, vals := start.Row(c)
+		copy(vals, dense[i])
+	}
+	want, errDense := core.SolveFrom(sys, dense, core.Options{})
+	res, errClass := megascale.SolveFrom(cs, start, megascale.Options{})
+	if errDense != nil || errClass != nil {
+		t.Fatalf("dense err=%v, class err=%v", errDense, errClass)
+	}
+	profile, err := res.Profile.ExpandUsers(cs, userToClass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := &core.Result{
+		Profile:     profile,
+		Rounds:      res.Rounds,
+		Converged:   res.Converged,
+		UserTimes:   make([]float64, len(userToClass)),
+		OverallTime: res.OverallTime,
+	}
+	for i, c := range userToClass {
+		got.UserTimes[i] = res.ClassTimes[c]
+	}
+	checkMatchesDense(t, "warm start", want, errDense, got, errClass)
+	if !numeric.EqualWithin(want.Norms[0], res.Norms[0], 1e-9) {
+		t.Fatalf("round-1 norm dense=%g class=%g: the unequal start was not kept", want.Norms[0], res.Norms[0])
+	}
+}
+
+// TestSolveConstrainedEqualRatesStaySeparate: machines 0 and 1 share a rate
+// but admit different classes, so they are different types and carry
+// different loads. The result must certify as an equilibrium at 1e-9.
+func TestSolveConstrainedEqualRatesStaySeparate(t *testing.T) {
+	rates := []float64{20, 20, 50, 10, 20}
+	classes := []megascale.Class{
+		{Phi: 0.5, Count: 30, Machines: []int32{0, 2}},
+		{Phi: 1, Count: 10, Machines: []int32{1, 2, 3, 4}},
+		{Phi: 10, Count: 5},
+	}
+	cs, err := megascale.NewClassSystem(rates, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, init := range []core.Init{core.InitZero, core.InitProportional} {
+		res, err := megascale.Solve(cs, megascale.Options{Init: init, Epsilon: 1e-13})
+		if err != nil {
+			t.Fatalf("%v: %v", init, err)
+		}
+		if err := res.Profile.CheckFeasible(cs); err != nil {
+			t.Fatalf("%v: %v", init, err)
+		}
+		if ok, worst, err := megascale.VerifyEquilibrium(cs, res.Profile, 1e-9); err != nil || !ok {
+			t.Fatalf("%v: not an equilibrium (worst=%g, err=%v)", init, worst, err)
+		}
+		loads := res.Profile.Loads(cs)
+		if numeric.EqualWithin(loads[0], loads[1], 1e-6) {
+			t.Fatalf("%v: machines 0 and 1 carry equal loads %g; their class sets differ", init, loads[0])
+		}
+		// Machines 1 and 4 admit the same classes: one type, equal loads.
+		if loads[1] != loads[4] {
+			t.Fatalf("%v: machines 1 and 4 carry loads %g and %g", init, loads[1], loads[4])
+		}
+	}
+}
+
+// TestSolveSingleActiveTypeSplitsEvenly: when the only active type holds
+// several machines, the single-active shortcut and the cancellation
+// fallback must split the class evenly over the type's machines rather
+// than send everything to one of them.
+func TestSolveSingleActiveTypeSplitsEvenly(t *testing.T) {
+	// At rate 1.004e20 and a 1e-305 arrival rate the water-filling
+	// fractions of two equal-capacity types cancel to exactly zero, so the
+	// fallback runs; the constrained class splits the three equal-rate
+	// machines into the types {0, 1} and {2}.
+	const huge = 1.004e20
+	cases := []struct {
+		name    string
+		rates   []float64
+		classes []megascale.Class
+		// dense marks a game of single users the dense solver can check.
+		dense bool
+	}{
+		{"shortcut", []float64{100, 100, 1}, []megascale.Class{{Phi: 1, Count: 1}}, true},
+		{"shortcut weighted", []float64{100, 100, 1}, []megascale.Class{{Phi: 0.25, Count: 4}}, false},
+		{"cancellation fallback", []float64{huge, huge, huge}, []megascale.Class{
+			{Phi: 1e-305, Count: 1},
+			{Phi: 1e-305, Count: 1, Machines: []int32{0, 1}},
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cs, err := megascale.NewClassSystem(tc.rates, tc.classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := megascale.Solve(cs, megascale.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, vals := res.Profile.Row(0)
+			if vals[0] != 0.5 || vals[1] != 0.5 || vals[2] != 0 {
+				t.Fatalf("class 0 split %v, want [0.5 0.5 0]", vals)
+			}
+			if ok, worst, err := megascale.VerifyEquilibrium(cs, res.Profile, 1e-9); err != nil || !ok {
+				t.Fatalf("not an equilibrium (worst=%g, err=%v)", worst, err)
+			}
+			if !tc.dense {
+				return
+			}
+			sys, err := cs.ExpandSystem()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, errDense := core.Solve(sys, core.Options{})
+			got, errClass := megascale.SolveSystem(sys, core.Options{})
+			checkMatchesDense(t, tc.name, want, errDense, got, errClass)
+		})
+	}
 }
 
 // TestSolveMatchesDenseReplicatedClasses checks the weighted within-class

@@ -96,14 +96,22 @@ func (p *ClassProfile) Clone() *ClassProfile {
 	}
 }
 
-// sameShape reports whether q has the identical row/column structure.
-func (p *ClassProfile) sameShape(q *ClassProfile) bool {
-	if p.machines != q.machines || len(p.rowPtr) != len(q.rowPtr) || len(p.cols) != len(q.cols) {
+// shapedFor reports whether p has the row and column structure
+// NewClassProfile(cs) builds: one row per class holding exactly the
+// machines the class may use.
+func (p *ClassProfile) shapedFor(cs *ClassSystem) bool {
+	if p.machines != len(cs.Rates) || p.Rows() != len(cs.Classes) {
 		return false
 	}
-	for i := range p.rowPtr {
-		if p.rowPtr[i] != q.rowPtr[i] {
+	for c, cl := range cs.Classes {
+		cols, _ := p.Row(c)
+		if len(cols) != cs.machineSpan(c) {
 			return false
+		}
+		for k, j := range cols {
+			if (cl.Machines == nil && j != int32(k)) || (cl.Machines != nil && j != cl.Machines[k]) {
+				return false
+			}
 		}
 	}
 	return true

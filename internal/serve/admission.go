@@ -37,19 +37,30 @@ func (tb *TokenBucket) Allow() bool {
 	}
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	now := tb.now()
-	if !tb.last.IsZero() {
-		tb.tokens += now.Sub(tb.last).Seconds() * tb.fill
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
-		}
-	}
-	tb.last = now
+	tb.refill(tb.now())
 	if tb.tokens < 1 {
 		return false
 	}
 	tb.tokens--
 	return true
+}
+
+// refill accrues the tokens of the time since last and advances last to
+// now. A now older than last — a caller that read the clock before another
+// caller took the lock with a later time — accrues nothing and leaves last
+// where it is, so no interval is ever counted twice. Callers hold tb.mu.
+func (tb *TokenBucket) refill(now time.Time) {
+	if tb.last.IsZero() {
+		tb.last = now
+		return
+	}
+	if dt := now.Sub(tb.last).Seconds(); dt > 0 {
+		tb.tokens += dt * tb.fill
+		if tb.tokens > tb.burst {
+			tb.tokens = tb.burst
+		}
+		tb.last = now
+	}
 }
 
 // take refills and grants up to maxN tokens, but only when at least one
@@ -61,18 +72,10 @@ func (tb *TokenBucket) Allow() bool {
 func (tb *TokenBucket) take(now time.Time, maxN float64) (granted float64, nextAt time.Time) {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	if !tb.last.IsZero() {
-		if dt := now.Sub(tb.last).Seconds(); dt > 0 {
-			tb.tokens += dt * tb.fill
-			if tb.tokens > tb.burst {
-				tb.tokens = tb.burst
-			}
-		}
-	}
-	tb.last = now
+	tb.refill(now)
 	if tb.tokens < 1 {
 		wait := (1 - tb.tokens) / tb.fill
-		return 0, now.Add(time.Duration(wait * float64(time.Second)))
+		return 0, tb.last.Add(time.Duration(wait * float64(time.Second)))
 	}
 	granted = math.Min(maxN, tb.tokens)
 	tb.tokens -= granted

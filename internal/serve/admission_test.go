@@ -85,6 +85,48 @@ func TestShardedBucketChunkedBound(t *testing.T) {
 	}
 }
 
+// TestShardedBucketLateTimestamp replays the interleaving that let the
+// bucket over-admit under contention: caller A reads the clock, caller B
+// reads a later time and completes an admission through the reservoir, and
+// only then does A reach the reservoir with its older reading. The
+// reservoir must not move its refill mark back to A's time, or B's next
+// refill counts the same interval twice. The clock seam runs B from inside
+// A's clock read, so the schedule is exact and single-threaded.
+func TestShardedBucketLateTimestamp(t *testing.T) {
+	const fill, burst = 100.0, 5.0
+	const step, late = 10 * time.Millisecond, 9 * time.Millisecond
+	start := time.Unix(0, 0)
+	now := start
+	var sb *ShardedTokenBucket
+	interleave := false
+	clock := func() time.Time {
+		if !interleave {
+			return now
+		}
+		interleave = false
+		read := now.Add(-late) // A's reading, taken before B's
+		sb.admitOn(&sb.shards[1])
+		return read
+	}
+	sb = newShardedBucket(fill, burst, 2, 1, clock)
+
+	const steps = 200
+	for i := 1; i <= steps; i++ {
+		now = start.Add(time.Duration(i) * step)
+		interleave = true
+		sb.admitOn(&sb.shards[0])
+		bound := burst + fill*now.Sub(start).Seconds()
+		if admitted := sb.Stats().Admitted; float64(admitted) > bound {
+			t.Fatalf("step %d: %d admitted > bound %g", i, admitted, bound)
+		}
+	}
+	// Two requests per step against one token per step: the bucket stays
+	// saturated and should admit about its accrual, not far below it.
+	if admitted := sb.Stats().Admitted; admitted < steps {
+		t.Fatalf("admitted %d over %d steps of one token each", admitted, steps)
+	}
+}
+
 // TestShardedBucketStealing pins the no-stranded-tokens property: tokens
 // cached on one shard are spendable through another shard once the
 // reservoir is dry.

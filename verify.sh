@@ -5,7 +5,7 @@
 # serving stack, and the gateway-fleet control plane — including the
 # self-healing chaos tests in internal/serve and the leader-failover tests
 # in internal/fleet; the long crash/recovery e2e runs gate themselves
-# behind -short).
+# behind -short), the scheduling-sensitive ones at 1, 2 and 4 GOMAXPROCS.
 set -eu
 
 cd "$(dirname "$0")"
@@ -19,8 +19,21 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/dist/... ./internal/online/... ./internal/serve/... ./internal/replicate/... ./internal/cluster/... ./internal/fleet/... ./internal/megascale/..."
-go test -race ./internal/dist/... ./internal/online/... ./internal/serve/... ./internal/replicate/... ./internal/cluster/... ./internal/fleet/... ./internal/megascale/...
+echo "== go test -race ./internal/online/... ./internal/replicate/... ./internal/cluster/..."
+go test -race ./internal/online/... ./internal/replicate/... ./internal/cluster/...
+
+# Core-count sweep: the admission bounds, fleet safety, the distributed
+# ring and the per-type megascale solver run three times under the race
+# detector at each of 1, 2 and 4 GOMAXPROCS, because some interleavings
+# (a clock reading that reaches the admission reservoir after a later one)
+# cannot happen on one core. The packages run one at a time (-p 1): the
+# live-serving tests in internal/serve time real requests, and a
+# race-instrumented fleet binary beside them on a small host slows them
+# past their latency bars. Nine runs of internal/serve take about eight
+# minutes on two vCPUs, so the per-binary timeout is raised above go test's
+# ten-minute default.
+echo "== go test -race -count=3 -cpu 1,2,4 -p 1 ./internal/serve/... ./internal/fleet/... ./internal/dist/... ./internal/megascale/..."
+go test -race -count=3 -cpu 1,2,4 -p 1 -timeout 25m ./internal/serve/... ./internal/fleet/... ./internal/dist/... ./internal/megascale/...
 
 # Fuzz smoke: a short randomized run of each native fuzz target (bisection
 # root finder, M/M/1 queue-depth inversion, fleet wire codec, durable
