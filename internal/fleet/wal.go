@@ -38,16 +38,35 @@ type Snapshot struct {
 	EstRates  []float64 `json:"est_rates,omitempty"`
 	AggSmooth []float64 `json:"agg_smooth,omitempty"`
 	// Profile, AdmitFrac and OfferedRate are the installed table's routing
-	// content (nil Profile when no table had been installed yet).
-	Profile     game.Profile `json:"profile,omitempty"`
+	// content (nil Profile when no table had been installed yet). The
+	// profile is stored in row form (profileRows).
+	Profile     game.Profile `json:"-"`
 	AdmitFrac   float64      `json:"admit_frac"`
 	OfferedRate float64      `json:"offered_rate"`
 }
 
+// snapshotWire is the NLBSNAP2 payload: a Snapshot with its profile in row
+// form.
+type snapshotWire struct {
+	Snapshot
+	profileRows
+}
+
+// snapshotV1 is the NLBSNAP1 payload, which stored the profile densely.
+// Version 1 files still load, because their grants are promises a node
+// must keep across an upgrade; the next Save rewrites them as version 2.
+type snapshotV1 struct {
+	Snapshot
+	Profile game.Profile `json:"profile,omitempty"`
+}
+
 // Snapshot frame: an 8-byte magic, the payload length, and a CRC32 over the
 // payload, so a torn write, truncation or bit flip is rejected as a unit —
-// never loaded partially.
-const snapMagic = "NLBSNAP1"
+// never loaded partially. snapMagic is written; snapMagicV1 is only read.
+const (
+	snapMagic   = "NLBSNAP2"
+	snapMagicV1 = "NLBSNAP1"
+)
 
 // snapHeaderLen is magic + uint32 length + uint32 CRC.
 const snapHeaderLen = len(snapMagic) + 4 + 4
@@ -60,12 +79,13 @@ const snapFile = "fleet.snap"
 // semantic validation.
 var ErrCorruptSnapshot = errors.New("fleet: corrupt snapshot")
 
-// EncodeSnapshot frames a snapshot for disk.
+// EncodeSnapshot frames a snapshot for disk in the NLBSNAP2 format.
 func EncodeSnapshot(s Snapshot) ([]byte, error) {
-	if err := s.validate(); err != nil {
+	w, err := s.wire()
+	if err != nil {
 		return nil, err
 	}
-	payload, err := json.Marshal(s)
+	payload, err := json.Marshal(w)
 	if err != nil {
 		return nil, err
 	}
@@ -76,14 +96,15 @@ func EncodeSnapshot(s Snapshot) ([]byte, error) {
 	return append(out, payload...), nil
 }
 
-// DecodeSnapshot parses and validates a framed snapshot. Any framing,
-// checksum, syntax or semantic failure yields ErrCorruptSnapshot: the
-// caller gets the whole snapshot or nothing.
+// DecodeSnapshot parses and validates a framed snapshot, NLBSNAP2 or
+// NLBSNAP1. Any framing, checksum, syntax or semantic failure yields
+// ErrCorruptSnapshot: the caller gets the whole snapshot or nothing.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	if len(data) < snapHeaderLen {
 		return Snapshot{}, fmt.Errorf("%w: %d bytes is shorter than the frame header", ErrCorruptSnapshot, len(data))
 	}
-	if string(data[:len(snapMagic)]) != snapMagic {
+	magic := string(data[:len(snapMagic)])
+	if magic != snapMagic && magic != snapMagicV1 {
 		return Snapshot{}, fmt.Errorf("%w: bad magic", ErrCorruptSnapshot)
 	}
 	length := binary.LittleEndian.Uint32(data[len(snapMagic):])
@@ -97,16 +118,63 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("%w: CRC mismatch", ErrCorruptSnapshot)
 	}
 	var s Snapshot
-	if err := decodeStrict(payload, &s); err != nil {
-		return Snapshot{}, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
+	var err error
+	if magic == snapMagicV1 {
+		var v1 snapshotV1
+		if err = decodeStrict(payload, &v1); err == nil {
+			s = v1.Snapshot
+			s.Profile = v1.Profile
+			// A dense profile gets the checks EncodeSnapshot gives one.
+			_, err = s.wire()
+		}
+	} else {
+		var w snapshotWire
+		if err = decodeStrict(payload, &w); err == nil {
+			s, err = w.snapshot()
+		}
 	}
-	if err := s.validate(); err != nil {
+	if err != nil {
 		return Snapshot{}, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
 	return s, nil
 }
 
-func (s Snapshot) validate() error {
+// wire validates s and puts its profile in row form.
+func (s Snapshot) wire() (snapshotWire, error) {
+	if err := s.validate(s.Profile != nil); err != nil {
+		return snapshotWire{}, err
+	}
+	w := snapshotWire{Snapshot: s}
+	if s.Profile != nil {
+		rows, err := rowsOf(s.Profile, len(s.Active))
+		if err != nil {
+			return snapshotWire{}, err
+		}
+		w.profileRows = rows
+	}
+	return w, nil
+}
+
+// snapshot validates a decoded NLBSNAP2 payload and rebuilds its profile.
+func (w snapshotWire) snapshot() (Snapshot, error) {
+	s := w.Snapshot
+	table := len(w.Rows) > 0 || len(w.RowOf) > 0
+	if err := s.validate(table); err != nil {
+		return Snapshot{}, err
+	}
+	if table {
+		p, err := w.profile(len(w.RowOf), len(s.Active))
+		if err != nil {
+			return Snapshot{}, err
+		}
+		s.Profile = p
+	}
+	return s, nil
+}
+
+// validate checks everything but the profile, whose checks depend on its
+// form; table says whether the snapshot carries table content.
+func (s Snapshot) validate(table bool) error {
 	if s.Leader < -1 {
 		return fmt.Errorf("invalid leader id %d", s.Leader)
 	}
@@ -132,15 +200,8 @@ func (s Snapshot) validate() error {
 			return fmt.Errorf("invalid smoothed aggregate[%d]=%g", i, x)
 		}
 	}
-	if s.Profile != nil {
-		if s.Version == 0 {
-			return errors.New("table content without a version")
-		}
-		for i := range s.Profile {
-			if err := game.CheckStrategy(s.Profile[i], len(s.Active)); err != nil {
-				return fmt.Errorf("profile row %d: %w", i, err)
-			}
-		}
+	if table && s.Version == 0 {
+		return errors.New("table content without a version")
 	}
 	return nil
 }

@@ -58,8 +58,81 @@ type Table struct {
 	// sizing its degraded-mode bucket (leader fills it per recipient).
 	OfferedRate float64 `json:"offered_rate"`
 	// Profile is the solved equilibrium: one row per user, one column per
-	// machine in Machines.
-	Profile game.Profile `json:"profile"`
+	// machine in Machines. It travels in row form (profileRows).
+	Profile game.Profile `json:"-"`
+}
+
+// tableWire is a Table as EncodeTable writes it: the profile in row form.
+type tableWire struct {
+	Table
+	profileRows
+}
+
+// profileRows is the serialized form of a routing profile. Rows holds each
+// distinct strategy row once, compared bit for bit and numbered by the
+// first user that plays it; RowOf holds one row index per user. At the
+// equilibrium, users with equal arrival rates play equal rows, so a table
+// solved on per-class rates is a few rows plus one small integer per user;
+// per-user live estimates differ, and then every row is distinct and the
+// form costs one index per user more than a dense profile.
+type profileRows struct {
+	Rows  []game.Strategy `json:"rows,omitempty"`
+	RowOf []int32         `json:"row_of,omitempty"`
+}
+
+// rowsOf puts p in row form, checking each distinct row once as a strategy
+// over n machines.
+func rowsOf(p game.Profile, n int) (profileRows, error) {
+	rows, rowOf := game.DistinctRows(p)
+	for r, st := range rows {
+		if err := game.CheckStrategy(st, n); err != nil {
+			return profileRows{}, fmt.Errorf("profile row %d: %w", r, err)
+		}
+	}
+	return profileRows{Rows: rows, RowOf: rowOf}, nil
+}
+
+// profile checks the row form against users and n machines — one index per
+// user, each naming a row, rows numbered by first use, each row a strategy
+// — and rebuilds the dense profile in one backing array, every user in its
+// own n-wide region so no row aliases another.
+func (w profileRows) profile(users, n int) (game.Profile, error) {
+	if len(w.RowOf) != users {
+		return nil, fmt.Errorf("row_of has %d entries for %d users", len(w.RowOf), users)
+	}
+	// A dense profile could not carry more cells than a message has bytes;
+	// the row form could, so this cap keeps a small message from demanding
+	// gigabytes here.
+	if int64(users)*int64(n) > MaxMessage {
+		return nil, fmt.Errorf("profile of %d users x %d machines exceeds %d cells", users, n, MaxMessage)
+	}
+	used := 0
+	for i, r := range w.RowOf {
+		if r < 0 || int(r) >= len(w.Rows) {
+			return nil, fmt.Errorf("row_of[%d]=%d outside %d rows", i, r, len(w.Rows))
+		}
+		if int(r) > used {
+			return nil, fmt.Errorf("row_of[%d]=%d skips row %d", i, r, used)
+		}
+		if int(r) == used {
+			used++
+		}
+	}
+	if used != len(w.Rows) {
+		return nil, fmt.Errorf("rows has %d entries, row_of uses %d", len(w.Rows), used)
+	}
+	for r, st := range w.Rows {
+		if err := game.CheckStrategy(st, n); err != nil {
+			return nil, fmt.Errorf("profile row %d: %w", r, err)
+		}
+	}
+	cells := make([]float64, users*n)
+	p := make(game.Profile, users)
+	for i, r := range w.RowOf {
+		p[i] = cells[i*n : (i+1)*n : (i+1)*n]
+		copy(p[i], w.Rows[r])
+	}
+	return p, nil
 }
 
 // Heartbeat is a node's liveness answer: who it is, the newest table it has
@@ -154,29 +227,45 @@ func validMachines(ms []Machine) error {
 	return nil
 }
 
-// EncodeTable serializes a table for the control plane.
+// EncodeTable serializes a table for the control plane, its profile in row
+// form.
 func EncodeTable(t Table) ([]byte, error) {
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
-	return json.Marshal(t)
+	if len(t.Profile) != len(t.Arrivals) {
+		return nil, fmt.Errorf("fleet: profile has %d rows for %d users", len(t.Profile), len(t.Arrivals))
+	}
+	rows, err := rowsOf(t.Profile, len(t.Machines))
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	return json.Marshal(tableWire{Table: t, profileRows: rows})
 }
 
 // DecodeTable parses and validates a table: machine list well-formed,
-// arrivals positive and finite, the profile a feasible strategy per user
-// with one column per machine, AdmitFrac in [0, 1]. Malformed input is
-// rejected, never installed.
+// arrivals positive and finite, the row form well-formed with every
+// distinct row a feasible strategy over the machines, AdmitFrac in [0, 1].
+// Malformed input is rejected, never installed.
 func DecodeTable(data []byte) (Table, error) {
-	var t Table
-	if err := decodeStrict(data, &t); err != nil {
+	var w tableWire
+	if err := decodeStrict(data, &w); err != nil {
 		return Table{}, err
 	}
+	t := w.Table
 	if err := t.validate(); err != nil {
 		return Table{}, err
 	}
+	p, err := w.profile(len(t.Arrivals), len(t.Machines))
+	if err != nil {
+		return Table{}, fmt.Errorf("fleet: %w", err)
+	}
+	t.Profile = p
 	return t, nil
 }
 
+// validate checks everything but the profile, whose checks depend on its
+// form.
 func (t Table) validate() error {
 	if t.Leader < 0 {
 		return fmt.Errorf("fleet: negative leader id %d", t.Leader)
@@ -197,14 +286,6 @@ func (t Table) validate() error {
 	}
 	if !(t.OfferedRate >= 0) || !finite(t.OfferedRate) {
 		return fmt.Errorf("fleet: invalid offered rate %g", t.OfferedRate)
-	}
-	if len(t.Profile) != len(t.Arrivals) {
-		return fmt.Errorf("fleet: profile has %d rows for %d users", len(t.Profile), len(t.Arrivals))
-	}
-	for i := range t.Profile {
-		if err := game.CheckStrategy(t.Profile[i], len(t.Machines)); err != nil {
-			return fmt.Errorf("fleet: profile row %d: %w", i, err)
-		}
 	}
 	return nil
 }

@@ -17,6 +17,7 @@
 package game
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -186,6 +187,33 @@ func (p Profile) Equal(q Profile) bool {
 		}
 	}
 	return true
+}
+
+// DistinctRows groups the rows of p by bitwise equality (math.Float64bits,
+// so 0 and -0 differ): rows holds each distinct row once, numbered by the
+// first user that plays it, and rowOf[i] is the index in rows of p[i]. The
+// returned rows alias p's. At a Nash equilibrium users with equal arrival
+// rates play equal strategies, so a solved profile has only as many
+// distinct rows as arrival classes; the fleet wire, the durable snapshot
+// and the gateway's route table check and store each distinct row once.
+func DistinctRows(p Profile) (rows []Strategy, rowOf []int32) {
+	rowOf = make([]int32, len(p))
+	index := make(map[string]int32)
+	var key []byte
+	for i, st := range p {
+		key = key[:0]
+		for _, f := range st {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(f))
+		}
+		r, ok := index[string(key)]
+		if !ok {
+			r = int32(len(rows))
+			index[string(key)] = r
+			rows = append(rows, st)
+		}
+		rowOf[i] = r
+	}
+	return rows, rowOf
 }
 
 // UniformProfile returns the profile in which every user spreads jobs

@@ -140,6 +140,59 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestDistinctRows pins the row dedup the fleet wire, the snapshot and the
+// route table share: rows compare bit for bit (0 and -0 differ, as does a
+// row of another width), are numbered by first use, and alias the input.
+func TestDistinctRows(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	p := Profile{
+		{0.5, 0.5, 0},
+		{1, 0, 0},
+		{0.5, 0.5, 0},
+		{0.5, 0.5, negZero},
+		{1, 0},
+		{1, 0, 0},
+	}
+	rows, rowOf := DistinctRows(p)
+	wantOf := []int32{0, 1, 0, 2, 3, 1}
+	if len(rowOf) != len(wantOf) {
+		t.Fatalf("rowOf = %v, want %v", rowOf, wantOf)
+	}
+	for i := range wantOf {
+		if rowOf[i] != wantOf[i] {
+			t.Fatalf("rowOf = %v, want %v", rowOf, wantOf)
+		}
+	}
+	if len(rows) != 4 {
+		t.Fatalf("%d distinct rows, want 4", len(rows))
+	}
+	for r, first := range []int{0, 1, 3, 4} {
+		if &rows[r][0] != &p[first][0] {
+			t.Errorf("row %d does not alias user %d's strategy", r, first)
+		}
+	}
+	if rows, rowOf := DistinctRows(nil); rows != nil || len(rowOf) != 0 {
+		t.Fatalf("empty profile: rows %v rowOf %v", rows, rowOf)
+	}
+
+	// Many distinct rows: 1,000 rows, then the same 1,000 again.
+	const distinct = 1000
+	q := make(Profile, 2*distinct)
+	for i := range q {
+		f := float64(i%distinct) / distinct
+		q[i] = Strategy{f, 1 - f}
+	}
+	rows, rowOf = DistinctRows(q)
+	if len(rows) != distinct {
+		t.Fatalf("%d distinct rows, want %d", len(rows), distinct)
+	}
+	for i, r := range rowOf {
+		if int(r) != i%distinct {
+			t.Fatalf("rowOf[%d] = %d, want %d", i, r, i%distinct)
+		}
+	}
+}
+
 func TestLoadsAndAvailableRates(t *testing.T) {
 	s := twoBy3()
 	p := Profile{

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -155,38 +154,26 @@ type routeTable struct {
 }
 
 func newRouteTable(p game.Profile, n int) (*routeTable, error) {
-	t := &routeTable{profile: p.Clone(), classOf: make([]int32, len(p))}
-	row := make([]float64, n)
-	key := make([]byte, 0, n*8)
-	index := make(map[string]int32)
-	for i := range p {
-		if err := game.CheckStrategy(p[i], n); err != nil {
-			return nil, err
-		}
-		key = key[:0]
-		for _, f := range p[i] {
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(f))
-		}
-		if c, ok := index[string(key)]; ok {
-			t.classOf[i] = c
-			continue
+	profile := p.Clone()
+	rows, classOf := game.DistinctRows(profile)
+	t := &routeTable{profile: profile, classOf: classOf, classes: len(rows)}
+	weights := make([]float64, n)
+	for c, row := range rows {
+		if err := game.CheckStrategy(row, n); err != nil {
+			return nil, fmt.Errorf("serve: strategy row %d: %w", c, err)
 		}
 		// CheckStrategy tolerates fractions down to -FeasibilityTol;
 		// clamp those to zero weight for the sampler.
-		for j, f := range p[i] {
-			row[j] = math.Max(f, 0)
+		for j, f := range row {
+			weights[j] = math.Max(f, 0)
 		}
-		a, err := rng.NewAlias(row)
+		a, err := rng.NewAlias(weights)
 		if err != nil {
-			return nil, fmt.Errorf("serve: user %d: %w", i, err)
+			return nil, fmt.Errorf("serve: strategy row %d: %w", c, err)
 		}
-		c := int32(len(t.samplers))
-		index[string(key)] = c
-		t.classOf[i] = c
 		t.samplers = append(t.samplers, a)
-		t.fallback = append(t.fallback, weightOrder(t.profile[i], true))
+		t.fallback = append(t.fallback, weightOrder(row, true))
 	}
-	t.classes = len(t.samplers)
 	return t, nil
 }
 
@@ -222,8 +209,8 @@ type Gateway struct {
 	userRng []*rng.Stream
 	bucket  *ShardedTokenBucket
 	met     *gatewayMetrics
-	clients []*http.Client           // per backend, own pooled transport
-	workURL []string                 // pre-resolved backend /work URLs
+	clients []*http.Client // per backend, own pooled transport
+	workURL []string       // pre-resolved backend /work URLs
 	// rateOrder holds all backends by descending service rate — the
 	// precomputed last-resort fallback when a user's whole row is dead.
 	rateOrder []int32

@@ -137,12 +137,17 @@ func TestRouteTableMalformed(t *testing.T) {
 // routable pick.
 func FuzzInstallTable(f *testing.F) {
 	// Seeds: a valid table, a duplicate-row table, malformed weights,
-	// truncated data, and hostile float patterns.
+	// truncated data, and hostile float patterns; then the shapes the
+	// per-distinct-row install sees: every row distinct, two users sharing
+	// a row, and a shared row followed by an infeasible distinct one.
 	f.Add(uint64(1), uint64(1), []byte{128, 128, 128, 128, 128, 128})
 	f.Add(uint64(2), uint64(1), []byte{255, 0, 255, 0, 255, 0})
 	f.Add(uint64(3), uint64(7), []byte{0, 0, 0})
 	f.Add(uint64(0), uint64(0), []byte{})
 	f.Add(uint64(9), uint64(2), []byte{1, 254, 77, 200, 13, 13, 99})
+	f.Add(uint64(4), uint64(1), []byte{10, 128, 20, 128, 30, 128})
+	f.Add(uint64(4), uint64(2), []byte{10, 128, 10, 128, 30, 128})
+	f.Add(uint64(4), uint64(3), []byte{10, 128, 10, 128, 10, 0, 5})
 
 	const m, n = 3, 2
 	f.Fuzz(func(t *testing.T, epoch, version uint64, data []byte) {

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Full verification: the tier-1 gate (build + tests) plus static analysis
-# and the race detector over the concurrent packages (the distributed ring
-# with its fault-tolerance layer, the online balancer, the live HTTP
-# serving stack, and the gateway-fleet control plane — including the
-# self-healing chaos tests in internal/serve and the leader-failover tests
-# in internal/fleet; the long crash/recovery e2e runs gate themselves
-# behind -short), the scheduling-sensitive ones at 1, 2 and 4 GOMAXPROCS.
+# (go vet, and gofmt listing no file) and the race detector over the
+# concurrent packages (the distributed ring with its fault-tolerance layer,
+# the online balancer, the live HTTP serving stack, and the gateway-fleet
+# control plane — including the self-healing chaos tests in internal/serve
+# and the leader-failover tests in internal/fleet; the long crash/recovery
+# e2e runs gate themselves behind -short), the scheduling-sensitive ones at
+# 1, 2 and 4 GOMAXPROCS.
 set -eu
 
 cd "$(dirname "$0")"
@@ -15,6 +16,14 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: needs formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== go test ./..."
 go test ./...
