@@ -10,8 +10,8 @@
 # uploads the JSON; locally it is the before/after tool for performance work.
 #
 # It then runs the BenchmarkServeThroughput family (gateway hot path,
-# legacy comparison, end-to-end HTTP) plus the admission/parse/encode
-# micro-benchmarks and merges them into BENCH_serve.json (schema 4) under
+# legacy comparison, end-to-end round trip) plus the admission and encode
+# micro-benchmarks and merges them into BENCH_serve.json (schema 5) under
 # the "throughput" key via `benchjson -serve`, which refuses to touch a
 # document whose schema it does not understand.
 #
@@ -48,7 +48,7 @@ echo "bench: wrote $out"
 
 echo "== go test -bench serving throughput (count=$count, benchtime=$benchtime)"
 go test -run '^$' \
-    -bench 'BenchmarkServeThroughput|BenchmarkShardedAdmission|BenchmarkParseServiceSeconds|BenchmarkAppendSubmitResponse' \
+    -bench 'BenchmarkServeThroughput|BenchmarkShardedAdmission|BenchmarkAppendSubmitResponse' \
     -benchmem -benchtime "$benchtime" -count "$count" \
     ./internal/serve | tee "$servetmp"
 

@@ -3,6 +3,8 @@ package dist
 import (
 	"testing"
 	"time"
+
+	"nashlb/internal/testutil"
 )
 
 func TestNemesisValidation(t *testing.T) {
@@ -49,8 +51,10 @@ func TestNemesisSymmetricPartitionAndHeal(t *testing.T) {
 	if !nm.Allow(2, 2) {
 		t.Error("self link blocked")
 	}
-	time.Sleep(50 * time.Millisecond)
-	if !nm.Allow(0, 2) || !nm.Allow(2, 1) {
+	testutil.WaitFor(t, 5*time.Second, "cross-group link never healed", func() bool {
+		return nm.Allow(0, 2)
+	})
+	if !nm.Allow(2, 1) || !nm.Allow(1, 2) {
 		t.Error("link still blocked after heal event")
 	}
 	allowed, blocked, _ := nm.Counts()

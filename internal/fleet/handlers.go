@@ -33,10 +33,13 @@ type FleetStatus struct {
 	Durable  bool   `json:"durable"`
 	// Elections counts this node's leadership assumptions; Solves counts
 	// the supervision epochs it has led; TableSkips counts led epochs whose
-	// re-solve matched the distributed table so no push went out.
-	Elections  int64 `json:"elections"`
-	Solves     int64 `json:"solves"`
-	TableSkips int64 `json:"table_skips"`
+	// re-solve matched the distributed table so no push went out;
+	// SolveFailures counts led epochs whose solve failed, so replicas kept
+	// their last table.
+	Elections     int64 `json:"elections"`
+	Solves        int64 `json:"solves"`
+	TableSkips    int64 `json:"table_skips"`
+	SolveFailures int64 `json:"solve_failures"`
 	// Machines is the provisioned universe with installed Active flags.
 	Machines []Machine `json:"machines"`
 	// PeersAlive is the liveness view indexed by node ID (self always true).
@@ -71,6 +74,7 @@ func (n *Node) handleFleet(w http.ResponseWriter, r *http.Request) {
 		Elections:        n.elections.Load(),
 		Solves:           n.solves.Load(),
 		TableSkips:       n.distSkips.Load(),
+		SolveFailures:    n.solveFail.Load(),
 		PeersAlive:       append([]bool(nil), n.alive...),
 		ArrivalsEstimate: append([]float64(nil), n.estRates...),
 		GatewayURL:       n.gw.URL(),

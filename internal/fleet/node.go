@@ -158,6 +158,7 @@ type Node struct {
 	elections atomic.Int64
 	solves    atomic.Int64
 	distSkips atomic.Int64
+	solveFail atomic.Int64 // led epochs whose solve failed (no table went out)
 }
 
 // antiEntropyEvery bounds how many supervision epochs an unchanged table
@@ -329,6 +330,10 @@ func (n *Node) Elections() int64 { return n.elections.Load() }
 
 // Solves counts the supervision epochs this node has led.
 func (n *Node) Solves() int64 { return n.solves.Load() }
+
+// SolveFailures counts the led epochs whose solve failed (the reduced game
+// was infeasible or did not converge), so replicas kept their last table.
+func (n *Node) SolveFailures() int64 { return n.solveFail.Load() }
 
 // TableSkips counts leader supervision epochs whose re-solve produced the
 // exact table already distributed, so no version bump or push went out.
@@ -1033,6 +1038,7 @@ func (n *Node) solveAndDistribute() {
 
 	profile, admitFrac := solveFleet(n.cfg.Machines, active, weights, agg, n.rho)
 	if profile == nil {
+		n.solveFail.Add(1)
 		return // infeasible this epoch; replicas keep their last table
 	}
 
@@ -1262,6 +1268,9 @@ func (n *Node) renderMetrics(b *strings.Builder) {
 	w("# HELP fleet_table_skips Led supervision epochs whose re-solve matched the distributed table.\n")
 	w("# TYPE fleet_table_skips counter\n")
 	w("fleet_table_skips %d\n", n.distSkips.Load())
+	w("# HELP fleet_solve_failures Led supervision epochs whose solve failed, so replicas kept their last table.\n")
+	w("# TYPE fleet_solve_failures counter\n")
+	w("fleet_solve_failures %d\n", n.solveFail.Load())
 	w("# HELP fleet_elections Leadership assumptions by this node.\n")
 	w("# TYPE fleet_elections counter\n")
 	w("fleet_elections %d\n", n.elections.Load())

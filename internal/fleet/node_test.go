@@ -131,6 +131,54 @@ func TestFleetSkipsUnchangedTables(t *testing.T) {
 	})
 }
 
+// TestFleetCountsSolveFailures: every machine is unreachable, so the
+// gateway's probes open every breaker and the leader's reduced game has no
+// capacity left. Each led epoch's solve fails and replicas keep their last
+// table; the failures must show on SolveFailures, /metrics and /fleet.
+func TestFleetCountsSolveFailures(t *testing.T) {
+	nodes := startFleet(t, 1, testMachines(20, 40), []float64{3, 2}, func(c *Config) {
+		c.Gateway.ProbeEvery = 10 * time.Millisecond
+		c.Gateway.Breaker = serve.BreakerConfig{Failures: 1, Cooldown: time.Hour}
+	})
+	waitLeader(t, nodes, 0, 5*time.Second)
+	leader := nodes[0]
+	testutil.WaitFor(t, 5*time.Second, "led epochs never failed to solve", func() bool {
+		return leader.SolveFailures() >= 2
+	})
+	_, version := leader.TableEpoch()
+
+	resp, err := http.Get(leader.ControlURL() + "/fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st FleetStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SolveFailures < 2 {
+		t.Fatalf("/fleet solve_failures = %d, want >= 2", st.SolveFailures)
+	}
+	resp, err = http.Get(leader.GatewayURL() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	_, err = body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body.Bytes(), []byte("\nfleet_solve_failures ")) || bytes.Contains(body.Bytes(), []byte("\nfleet_solve_failures 0\n")) {
+		t.Fatalf("/metrics lacks a non-zero fleet_solve_failures:\n%s", body.String())
+	}
+	// No table went out while the solves failed.
+	if _, v := leader.TableEpoch(); v != version {
+		t.Fatalf("table version moved from %d to %d with every solve failing", version, v)
+	}
+}
+
 // TestFleetStatusEndpointJSON is the handler unit test for the /fleet debug
 // endpoint: JSON content type, and a status payload consistent with the
 // replica's accessor view.

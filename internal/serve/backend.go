@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -25,8 +27,8 @@ type BackendConfig struct {
 	// costs an exponential service time with this rate, making the node an
 	// M/M/1 station under Poisson input.
 	Rate float64
-	// QueueCap bounds the jobs in system; arrivals beyond it are rejected
-	// with 503 (DefaultQueueCap when zero).
+	// QueueCap bounds the jobs in system; arrivals beyond it get a
+	// queue-full reply (DefaultQueueCap when zero).
 	QueueCap int
 	// Seed roots the service-time stream (fully reproducible work).
 	Seed uint64
@@ -34,18 +36,20 @@ type BackendConfig struct {
 	Addr string
 }
 
-// Backend is a single worker node: an HTTP server whose /work endpoint runs
-// jobs through a bounded FCFS queue served by one goroutine drawing
-// exponential service times at rate mu — a live M/M/1 station. It reports
-// its queue depth on /queue for the gateway's estimation loop. Backends are
+// Backend is a single worker node: a server whose /work endpoint upgrades
+// to the binary work-hop protocol (workhop.go) and runs each framed job
+// through a bounded FCFS queue served by one goroutine drawing exponential
+// service times at rate mu — a live M/M/1 station. It reports its queue
+// depth on /queue for the gateway's estimation loop. Backends are
 // embeddable in-process for tests or run standalone via `nashgate -backend`.
 type Backend struct {
 	cfg BackendConfig
 
-	ln   net.Listener
-	srv  *http.Server
-	jobs chan *backendJob
-	wg   sync.WaitGroup
+	ln    net.Listener
+	srv   *http.Server
+	jobs  chan *backendJob
+	wg    sync.WaitGroup
+	conns connSet // upgraded /work connections
 
 	mu      sync.Mutex
 	depth   int
@@ -56,6 +60,9 @@ type Backend struct {
 	busyNs   atomic.Int64
 }
 
+// backendJob is one work connection's job slot, reused frame after frame
+// (a connection carries one request at a time): the worker sets service
+// and signals done.
 type backendJob struct {
 	done    chan struct{}
 	service time.Duration
@@ -122,32 +129,66 @@ func (b *Backend) worker() {
 		b.depth--
 		b.mu.Unlock()
 		b.served.Add(1)
-		close(job.done)
+		job.done <- struct{}{}
 	}
 }
 
+// handleWork upgrades a GET /work to the work-hop protocol and serves its
+// frames on the hijacked connection until the gateway closes it or the
+// backend shuts down. A request without the upgrade gets 426 and runs no
+// job.
 func (b *Backend) handleWork(w http.ResponseWriter, r *http.Request) {
-	job := &backendJob{done: make(chan struct{})}
-	b.mu.Lock()
-	if b.closing || b.depth >= b.cfg.QueueCap {
-		full := !b.closing
-		b.mu.Unlock()
-		if full {
-			b.rejected.Add(1)
-			w.Header().Set("X-Queue-Full", "1")
-		}
-		http.Error(w, "queue full", http.StatusServiceUnavailable)
+	if !wantsWork(r) {
+		refuseWork(w)
 		return
+	}
+	conn, br, err := switchToWork(w)
+	if err != nil {
+		return
+	}
+	b.conns.serve(conn, func() { b.serveFrames(conn, br) })
+}
+
+// serveFrames answers request frames one at a time, each after its job has
+// left the queue. It returns when a read fails: the gateway closed the
+// connection, or Close moved the read deadline into the past.
+func (b *Backend) serveFrames(conn net.Conn, r *bufio.Reader) {
+	job := &backendJob{done: make(chan struct{}, 1)}
+	var frame [replyFrameLen]byte
+	for {
+		if _, err := io.ReadFull(r, frame[:requestFrameLen]); err != nil {
+			return
+		}
+		id, _ := decodeRequest(frame[:requestFrameLen]) // the length is exact
+		reply := workReply{ID: id, Status: b.run(job)}
+		if reply.Status == statusOK {
+			reply.Service = job.service.Seconds()
+		}
+		encodeReply(frame[:], reply)
+		if _, err := conn.Write(frame[:]); err != nil {
+			return
+		}
+	}
+}
+
+// run queues job and waits for the worker to finish it. A closing backend
+// and a full queue refuse the job instead.
+func (b *Backend) run(job *backendJob) workStatus {
+	b.mu.Lock()
+	switch {
+	case b.closing:
+		b.mu.Unlock()
+		return statusClosing
+	case b.depth >= b.cfg.QueueCap:
+		b.mu.Unlock()
+		b.rejected.Add(1)
+		return statusQueueFull
 	}
 	b.depth++
 	b.mu.Unlock()
 	b.jobs <- job // capacity == QueueCap, never blocks
 	<-job.done
-
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"service_s": job.service.Seconds(),
-	})
+	return statusOK
 }
 
 func (b *Backend) handleQueue(w http.ResponseWriter, r *http.Request) {
@@ -218,8 +259,8 @@ func (b *Backend) Rejected() int64 { return b.rejected.Load() }
 // estimates the node's utilization rho.
 func (b *Backend) BusyTime() time.Duration { return time.Duration(b.busyNs.Load()) }
 
-// Close drains in-flight requests, stops the worker and releases the
-// listener. New work arriving during shutdown is refused with 503.
+// Close answers the frames in flight, stops the worker and releases the
+// listener. A frame read during shutdown gets a closing reply.
 func (b *Backend) Close() error {
 	if b.srv == nil {
 		return nil
@@ -227,14 +268,17 @@ func (b *Backend) Close() error {
 	b.mu.Lock()
 	b.closing = true
 	b.mu.Unlock()
-	// Shutdown waits for active handlers (the worker keeps draining their
-	// jobs meanwhile), so nothing can send on b.jobs after it returns.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	err := b.srv.Shutdown(ctx)
 	if err != nil {
 		err = errors.Join(err, b.srv.Close())
 	}
+	// Shutdown does not see the upgraded /work connections. Their next read
+	// fails at once; a frame already read is answered first (the worker
+	// keeps draining meanwhile), so nothing sends on b.jobs once shut
+	// returns.
+	b.conns.shut(func(c net.Conn) { _ = c.SetReadDeadline(aLongTimeAgo) })
 	close(b.jobs)
 	b.wg.Wait()
 	b.srv = nil

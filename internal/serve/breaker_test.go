@@ -2,6 +2,9 @@ package serve
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -312,5 +315,46 @@ func TestShedConfig(t *testing.T) {
 	}
 	if sh.Allow() {
 		t.Fatal("admission beyond burst granted")
+	}
+}
+
+// TestReequilibrateCountsSolveFailures drives the solver fallback of a
+// health-driven re-solve. With one of two backends cut off, reequilibrate
+// sheds the offered load to DegradedRho × the surviving capacity, which
+// NewGateway keeps below 1; the test raises it past 1, so the reduced game
+// is infeasible, the solve fails and the install renormalizes the current
+// profile instead. The failure must show on Snapshot and /metrics, and a
+// feasible re-solve must not count.
+func TestReequilibrateCountsSolveFailures(t *testing.T) {
+	g, err := NewGateway(GatewayConfig{
+		Backends:   []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		Rates:      []float64{50, 50},
+		Arrivals:   []float64{30, 30},
+		ProbeEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.cfg.DegradedRho = 1.5 // admits 75/s onto the 50/s survivor
+	g.reequilibrate([]float64{1, 0})
+	snap := g.Metrics()
+	if snap.SolveFailures != 1 || snap.Reequilibrations != 1 {
+		t.Fatalf("solve failures %d, reequilibrations %d; want 1 and 1", snap.SolveFailures, snap.Reequilibrations)
+	}
+	for i, row := range g.Profile() {
+		if row[0] != 1 || row[1] != 0 {
+			t.Fatalf("user %d routes %v after the fallback; want everything on the survivor", i, row)
+		}
+	}
+	rec := httptest.NewRecorder()
+	g.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "nashgate_solve_failures_total 1\n") {
+		t.Fatalf("/metrics lacks nashgate_solve_failures_total 1:\n%s", rec.Body.String())
+	}
+
+	g.cfg.DegradedRho = 0.9
+	g.reequilibrate([]float64{1, 1})
+	if got := g.Metrics().SolveFailures; got != 1 {
+		t.Fatalf("a feasible re-solve counted as a failure: %d", got)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -15,19 +16,26 @@ import (
 // ChaosPhase is one segment of a ChaosProxy's fault schedule. Phases are
 // sorted by Start (offset from proxy Start); the last phase whose Start has
 // passed is active. The zero phase is perfectly healthy pass-through.
+//
+// The proxy applies the active phase to every plain HTTP request and to
+// every work-hop frame it relays. A work-hop upgrade itself meets only Down
+// and Blackhole.
 type ChaosPhase struct {
 	// Start is when this phase begins, measured from ChaosProxy.Start.
 	Start time.Duration
-	// ErrorRate is the probability an incoming request is answered with an
-	// injected 500 instead of being proxied (seeded draw, reproducible).
+	// ErrorRate is the probability an incoming request or frame is answered
+	// with an injected failure (a 500, or a failed reply frame) instead of
+	// being proxied (seeded draw, reproducible).
 	ErrorRate float64
-	// Delay is added before proxying each request (tail-latency injection).
+	// Delay is added before proxying each request or frame (tail-latency
+	// injection).
 	Delay time.Duration
-	// Blackhole holds every request open without answering until the client
-	// gives up — the "accepts connections but never answers" failure.
+	// Blackhole holds every request or frame open without answering until
+	// the client gives up — the "accepts connections but never answers"
+	// failure.
 	Blackhole bool
-	// Down kills each connection abruptly (no HTTP answer at all) — the
-	// closest a live listener gets to a crashed process.
+	// Down kills the connection of each request or frame abruptly (no answer
+	// at all) — the closest a live listener gets to a crashed process.
 	Down bool
 }
 
@@ -46,11 +54,13 @@ type ChaosProxyConfig struct {
 }
 
 // ChaosProxy sits between the gateway and one backend and injects faults on
-// a deterministic schedule: injected 5xx answers, added delay, black holes,
-// and hard connection drops. It is the serving-layer analogue of the
-// dist-layer chaos transport — HTTP faults instead of message faults — and
-// is what the self-healing e2e tests drive: every fault the health layer
-// must survive can be scripted, seeded, and replayed.
+// a deterministic schedule: injected failures, added delay, black holes,
+// and hard connection drops. It proxies plain HTTP (/healthz, /queue)
+// request by request and relays upgraded work-hop connections frame by
+// frame. It is the serving-layer analogue of the dist-layer chaos
+// transport — request and frame faults instead of message faults — and is
+// what the self-healing e2e tests drive: every fault the health layer must
+// survive can be scripted, seeded, and replayed.
 type ChaosProxy struct {
 	cfg ChaosProxyConfig
 
@@ -58,14 +68,18 @@ type ChaosProxy struct {
 	srv   *http.Server
 	wg    sync.WaitGroup
 	start time.Time
+	quit  chan struct{} // closed by Close: ends relayed delays
+	conns connSet       // relayed work-hop connections
+
+	target workTarget // where the work-hop relay dials
 
 	mu     sync.Mutex
 	stream *rng.Stream
 
-	injected  int64 // injected 500s
+	injected  int64 // injected failures (500s and failed frames)
 	dropped   int64 // connections killed (Down)
-	blackhole int64 // requests held (Blackhole)
-	proxied   int64 // requests passed through
+	blackhole int64 // requests and frames held (Blackhole)
+	proxied   int64 // requests and frames passed through
 
 	client *http.Client
 }
@@ -86,8 +100,14 @@ func NewChaosProxy(cfg ChaosProxyConfig) (*ChaosProxy, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
+	target, err := parseWorkTarget(cfg.Target)
+	if err != nil {
+		return nil, err
+	}
 	return &ChaosProxy{
 		cfg:    cfg,
+		target: target,
+		quit:   make(chan struct{}),
 		stream: rng.NewSource(cfg.Seed).Stream("chaos/http"),
 		client: &http.Client{
 			Transport: &http.Transport{
@@ -135,8 +155,8 @@ func (p *ChaosProxy) URL() string {
 	return "http://" + p.Addr()
 }
 
-// Counts reports the proxy's tallies: injected 500s, killed connections,
-// black-holed requests, and clean pass-throughs.
+// Counts reports the proxy's tallies: injected failures, killed
+// connections, black-holed requests and frames, and clean pass-throughs.
 func (p *ChaosProxy) Counts() (injected, dropped, blackholed, proxied int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -161,9 +181,7 @@ func (p *ChaosProxy) handle(w http.ResponseWriter, r *http.Request) {
 	ph := p.phase()
 	switch {
 	case ph.Down:
-		p.mu.Lock()
-		p.dropped++
-		p.mu.Unlock()
+		p.tally(&p.dropped)
 		// Kill the connection without an HTTP answer: the client sees a
 		// transport error, exactly like a crashed process.
 		if hj, ok := w.(http.Hijacker); ok {
@@ -174,30 +192,20 @@ func (p *ChaosProxy) handle(w http.ResponseWriter, r *http.Request) {
 		}
 		panic(http.ErrAbortHandler)
 	case ph.Blackhole:
-		p.mu.Lock()
-		p.blackhole++
-		p.mu.Unlock()
+		p.tally(&p.blackhole)
 		<-r.Context().Done() // hold until the client gives up
 		return
 	}
-	if ph.ErrorRate > 0 {
-		p.mu.Lock()
-		inject := p.stream.Float64() < ph.ErrorRate
-		if inject {
-			p.injected++
-		}
-		p.mu.Unlock()
-		if inject {
-			http.Error(w, "chaos: injected failure", http.StatusInternalServerError)
-			return
-		}
+	if wantsWork(r) {
+		p.relay(w, r)
+		return
 	}
-	if ph.Delay > 0 {
-		select {
-		case <-time.After(ph.Delay):
-		case <-r.Context().Done():
-			return
-		}
+	if p.inject(ph) {
+		http.Error(w, "chaos: injected failure", http.StatusInternalServerError)
+		return
+	}
+	if !p.delay(ph, r.Context().Done()) {
+		return
 	}
 
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, p.cfg.Target+r.URL.RequestURI(), r.Body)
@@ -219,8 +227,103 @@ func (p *ChaosProxy) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
+	p.tally(&p.proxied)
+}
+
+// relay opens a work-hop connection to the target, upgrades the client's
+// connection and relays its frames. A target that refuses the upgrade is
+// reported to the client as 502.
+func (p *ChaosProxy) relay(w http.ResponseWriter, r *http.Request) {
+	up, err := p.target.dial(r.Context(), time.Now().Add(5*time.Second))
+	if err != nil {
+		http.Error(w, fmt.Sprintf("chaos proxy upstream: %v", err), http.StatusBadGateway)
+		return
+	}
+	conn, br, err := switchToWork(w)
+	if err != nil {
+		up.Close()
+		return
+	}
+	p.conns.serve(conn, func() {
+		defer up.Close()
+		p.relayFrames(conn, br, up)
+	})
+}
+
+// relayFrames applies the active phase to each request frame: Down closes
+// the connection unanswered, Blackhole holds it until the client gives up,
+// an injected failure is answered with a failed reply, and everything else
+// goes to the target after the phase's delay. An upstream failure closes
+// the client's connection.
+func (p *ChaosProxy) relayFrames(client net.Conn, r *bufio.Reader, up net.Conn) {
+	var frame [replyFrameLen]byte
+	for {
+		if _, err := io.ReadFull(r, frame[:requestFrameLen]); err != nil {
+			return
+		}
+		ph := p.phase()
+		switch {
+		case ph.Down:
+			p.tally(&p.dropped)
+			return
+		case ph.Blackhole:
+			p.tally(&p.blackhole)
+			_, _ = io.Copy(io.Discard, r) // hold until the client gives up
+			return
+		}
+		if p.inject(ph) {
+			id, _ := decodeRequest(frame[:requestFrameLen])
+			encodeReply(frame[:], workReply{ID: id, Status: statusFailed})
+		} else {
+			if !p.delay(ph, p.quit) {
+				return
+			}
+			if _, err := up.Write(frame[:requestFrameLen]); err != nil {
+				return
+			}
+			if _, err := io.ReadFull(up, frame[:]); err != nil {
+				return
+			}
+			p.tally(&p.proxied)
+		}
+		if _, err := client.Write(frame[:]); err != nil {
+			return
+		}
+	}
+}
+
+// inject draws whether the phase's error rate fails this request or frame.
+func (p *ChaosProxy) inject(ph ChaosPhase) bool {
+	if ph.ErrorRate <= 0 {
+		return false
+	}
 	p.mu.Lock()
-	p.proxied++
+	defer p.mu.Unlock()
+	inject := p.stream.Float64() < ph.ErrorRate
+	if inject {
+		p.injected++
+	}
+	return inject
+}
+
+// delay waits out the phase's delay; false when cancel closed first.
+func (p *ChaosProxy) delay(ph ChaosPhase, cancel <-chan struct{}) bool {
+	if ph.Delay <= 0 {
+		return true
+	}
+	t := time.NewTimer(ph.Delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-cancel:
+		return false
+	}
+}
+
+func (p *ChaosProxy) tally(n *int64) {
+	p.mu.Lock()
+	*n++
 	p.mu.Unlock()
 }
 
@@ -229,7 +332,9 @@ func (p *ChaosProxy) Close() error {
 	if p.srv == nil {
 		return nil
 	}
+	close(p.quit)
 	err := p.srv.Close() // abrupt: black-holed requests must not block Shutdown
+	p.conns.shut(func(c net.Conn) { c.Close() })
 	p.wg.Wait()
 	p.client.CloseIdleConnections()
 	p.srv = nil

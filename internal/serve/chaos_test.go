@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"testing"
@@ -51,12 +52,16 @@ func TestChaosProxyPassThrough(t *testing.T) {
 	b := startBackend(t, BackendConfig{Rate: 500, Seed: 1})
 	p := startChaos(t, ChaosProxyConfig{Target: b.URL(), Seed: 2})
 
-	client := &http.Client{Timeout: 5 * time.Second}
-	for k := 0; k < 3; k++ {
-		if status, err := chaosGet(t, client, p.URL()+"/work"); err != nil || status != http.StatusOK {
-			t.Fatalf("healthy pass-through %d: status %d, err %v", k, status, err)
+	replies, err := sendWork(p.URL(), 3, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, r := range replies {
+		if r.ID != uint64(k+1) || r.Status != statusOK || r.Service <= 0 {
+			t.Fatalf("healthy relay of frame %d: reply %+v", k+1, r)
 		}
 	}
+	client := &http.Client{Timeout: 5 * time.Second}
 	if status, err := chaosGet(t, client, p.URL()+"/healthz"); err != nil || status != http.StatusOK {
 		t.Fatalf("healthz pass-through: status %d, err %v", status, err)
 	}
@@ -76,15 +81,21 @@ func TestChaosProxyErrorInjection(t *testing.T) {
 		Seed:     3,
 		Schedule: []ChaosPhase{{ErrorRate: 1}},
 	})
-	client := &http.Client{Timeout: 5 * time.Second}
-	for k := 0; k < 5; k++ {
-		status, err := chaosGet(t, client, p.URL()+"/work")
-		if err != nil || status != http.StatusInternalServerError {
-			t.Fatalf("request %d: status %d err %v, want injected 500", k, status, err)
+	replies, err := sendWork(p.URL(), 5, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, r := range replies {
+		if r.ID != uint64(k+1) || r.Status != statusFailed {
+			t.Fatalf("frame %d: reply %+v, want an injected failure", k+1, r)
 		}
 	}
-	if injected, _, _, proxied := p.Counts(); injected != 5 || proxied != 0 {
-		t.Fatalf("injected %d proxied %d, want 5/0", injected, proxied)
+	client := &http.Client{Timeout: 5 * time.Second}
+	if status, err := chaosGet(t, client, p.URL()+"/healthz"); err != nil || status != http.StatusInternalServerError {
+		t.Fatalf("healthz: status %d err %v, want injected 500", status, err)
+	}
+	if injected, _, _, proxied := p.Counts(); injected != 6 || proxied != 0 {
+		t.Fatalf("injected %d proxied %d, want 6/0", injected, proxied)
 	}
 	if b.Served() != 0 {
 		t.Fatal("injected failures must not reach the backend")
@@ -104,14 +115,13 @@ func TestChaosProxyDeterministicInjection(t *testing.T) {
 			Seed:     seed,
 			Schedule: []ChaosPhase{{ErrorRate: 0.3}},
 		})
-		client := &http.Client{Timeout: 5 * time.Second}
+		replies, err := sendWork(p.URL(), reqs, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
 		out := make([]bool, reqs)
-		for k := 0; k < reqs; k++ {
-			status, err := chaosGet(t, client, p.URL()+"/work")
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[k] = status == http.StatusInternalServerError
+		for k, r := range replies {
+			out[k] = r.Status == statusFailed
 		}
 		return out
 	}
@@ -141,6 +151,29 @@ func TestChaosProxyDeterministicInjection(t *testing.T) {
 	}
 }
 
+// relayedConn upgrades a connection through the proxy in its healthy first
+// phase and waits until the proxy's schedule reaches the faulty second one.
+func relayedConn(t *testing.T, p *ChaosProxy, timeout time.Duration) *workConn {
+	t.Helper()
+	target, err := parseWorkTarget(p.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := target.dial(context.Background(), time.Now().Add(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newWorkConn(nc)
+	t.Cleanup(func() { c.Close() })
+	testutil.WaitFor(t, 5*time.Second, "proxy never reached its fault phase", func() bool {
+		return p.phase() != ChaosPhase{}
+	})
+	if err := c.SetDeadline(time.Now().Add(timeout)); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestChaosProxyDown(t *testing.T) {
 	b := startBackend(t, BackendConfig{Rate: 500, Seed: 1})
 	p := startChaos(t, ChaosProxyConfig{
@@ -149,11 +182,28 @@ func TestChaosProxyDown(t *testing.T) {
 		Schedule: []ChaosPhase{{Down: true}},
 	})
 	client := &http.Client{Timeout: 2 * time.Second}
-	if _, err := chaosGet(t, client, p.URL()+"/work"); err == nil {
-		t.Fatal("down phase answered instead of killing the connection")
+	if _, err := chaosGet(t, client, p.URL()+"/healthz"); err == nil {
+		t.Fatal("down phase answered a request instead of killing the connection")
 	}
-	if _, dropped, _, _ := p.Counts(); dropped == 0 {
-		t.Fatal("no dropped connections counted")
+	if _, err := workStatusOf(p.URL(), 2*time.Second); err == nil {
+		t.Fatal("down phase let an upgrade through")
+	}
+	if _, dropped, _, _ := p.Counts(); dropped != 2 {
+		t.Fatalf("%d dropped connections counted, want 2", dropped)
+	}
+
+	// A frame on a connection upgraded before the outage is dropped too.
+	p = startChaos(t, ChaosProxyConfig{
+		Target:   b.URL(),
+		Seed:     4,
+		Schedule: []ChaosPhase{{Start: 0}, {Start: 50 * time.Millisecond, Down: true}},
+	})
+	c := relayedConn(t, p, 2*time.Second)
+	if r, _, err := c.exchange(1); err == nil {
+		t.Fatalf("down phase answered a frame: %+v", r)
+	}
+	if _, dropped, _, _ := p.Counts(); dropped != 1 {
+		t.Fatalf("%d dropped frames counted, want 1", dropped)
 	}
 }
 
@@ -162,18 +212,28 @@ func TestChaosProxyBlackhole(t *testing.T) {
 	p := startChaos(t, ChaosProxyConfig{
 		Target:   b.URL(),
 		Seed:     5,
-		Schedule: []ChaosPhase{{Blackhole: true}},
+		Schedule: []ChaosPhase{{Start: 0}, {Start: 50 * time.Millisecond, Blackhole: true}},
 	})
-	client := &http.Client{Timeout: 200 * time.Millisecond}
+	c := relayedConn(t, p, 200*time.Millisecond)
 	start := time.Now()
-	if _, err := chaosGet(t, client, p.URL()+"/work"); err == nil {
-		t.Fatal("black-holed request returned an answer")
+	if r, _, err := c.exchange(1); err == nil {
+		t.Fatalf("black-holed frame got an answer: %+v", r)
 	}
 	if waited := time.Since(start); waited < 150*time.Millisecond {
 		t.Fatalf("client gave up after %v; black hole should hold until the deadline", waited)
 	}
-	if _, _, blackholed, _ := p.Counts(); blackholed == 0 {
-		t.Fatal("no black-holed requests counted")
+	start = time.Now()
+	if _, err := workStatusOf(p.URL(), 200*time.Millisecond); err == nil {
+		t.Fatal("black-holed upgrade returned an answer")
+	}
+	if waited := time.Since(start); waited < 150*time.Millisecond {
+		t.Fatalf("upgrade gave up after %v; black hole should hold until the deadline", waited)
+	}
+	if _, _, blackholed, _ := p.Counts(); blackholed != 2 {
+		t.Fatalf("%d black-holed frames and requests counted, want 2", blackholed)
+	}
+	if b.Served() != 0 {
+		t.Fatalf("backend served %d black-holed jobs", b.Served())
 	}
 }
 
@@ -187,13 +247,12 @@ func TestChaosProxySchedulePhases(t *testing.T) {
 			{Start: 150 * time.Millisecond, ErrorRate: 1},
 		},
 	})
-	client := &http.Client{Timeout: 5 * time.Second}
-	if status, err := chaosGet(t, client, p.URL()+"/work"); err != nil || status != http.StatusOK {
-		t.Fatalf("phase 0: status %d err %v, want healthy 200", status, err)
+	if s, err := workStatusOf(p.URL(), 5*time.Second); err != nil || s != statusOK {
+		t.Fatalf("phase 0: reply %v err %v, want ok", s, err)
 	}
 	time.Sleep(200 * time.Millisecond)
-	if status, err := chaosGet(t, client, p.URL()+"/work"); err != nil || status != http.StatusInternalServerError {
-		t.Fatalf("phase 1: status %d err %v, want injected 500", status, err)
+	if s, err := workStatusOf(p.URL(), 5*time.Second); err != nil || s != statusFailed {
+		t.Fatalf("phase 1: reply %v err %v, want an injected failure", s, err)
 	}
 }
 
@@ -223,9 +282,8 @@ func TestCrasherKillsAndRevives(t *testing.T) {
 	t.Cleanup(func() { c.Close() })
 	url := c.URL()
 
-	client := &http.Client{Timeout: 2 * time.Second}
-	if status, err := chaosGet(t, client, url+"/work"); err != nil || status != http.StatusOK {
-		t.Fatalf("pre-crash: status %d err %v", status, err)
+	if s, err := workStatusOf(url, 2*time.Second); err != nil || s != statusOK {
+		t.Fatalf("pre-crash: reply %v err %v", s, err)
 	}
 	if err := c.Crash(); err != nil {
 		t.Fatal(err)
@@ -233,7 +291,7 @@ func TestCrasherKillsAndRevives(t *testing.T) {
 	if c.Backend() != nil {
 		t.Fatal("Backend() not nil while crashed")
 	}
-	if _, err := chaosGet(t, client, url+"/work"); err == nil {
+	if _, err := workStatusOf(url, 2*time.Second); err == nil {
 		t.Fatal("crashed backend still answering")
 	}
 	if err := c.Restart(); err != nil {
@@ -241,8 +299,8 @@ func TestCrasherKillsAndRevives(t *testing.T) {
 	}
 	// Same URL, fresh backend.
 	testutil.WaitFor(t, 2*time.Second, "restarted backend never answered", func() bool {
-		status, err := chaosGet(t, client, url+"/work")
-		return err == nil && status == http.StatusOK
+		s, err := workStatusOf(url, 2*time.Second)
+		return err == nil && s == statusOK
 	})
 	if c.Backend() == nil || c.Backend().Served() == 0 {
 		t.Fatal("restarted backend has no served work")

@@ -7,6 +7,8 @@
 //
 //	request → admission (token bucket + saturation reject)
 //	        → routing (per-user weighted sampling over s_ij, O(1) alias method)
+//	        → forward (fixed-size binary frames on pooled TCP connections,
+//	          upgraded from HTTP/1.1 once per connection; workhop.go)
 //	        → per-backend bounded FCFS queue (exponential work at rate mu_j)
 //	        → metrics (/metrics text format: counters, gauges, log histograms)
 //

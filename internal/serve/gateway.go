@@ -103,10 +103,12 @@ type GatewayConfig struct {
 	// and sheds the rest with 503 + Retry-After (default 0.9).
 	DegradedRho float64
 
-	// MaxIdleConnsPerHost sizes each backend's connection pool: the gateway
-	// keeps one pooled http.Transport per backend, so forwarded requests
-	// reuse warm connections instead of paying a dial per request (reuse
-	// counters are exported on /metrics). Default 512.
+	// MaxIdleConnsPerHost caps each backend's idle connections, both the
+	// upgraded work-hop connections jobs are forwarded on (one request at a
+	// time each) and the HTTP keep-alive ones of the /healthz and /queue
+	// polls, so forwarded requests reuse warm connections instead of paying
+	// a dial and upgrade per request (reuse counters are exported on
+	// /metrics). Default 512.
 	MaxIdleConnsPerHost int
 
 	// OnWeights puts the gateway in managed mode: instead of re-solving the
@@ -196,11 +198,11 @@ func weightOrder(weights []float64, positiveOnly bool) []int32 {
 
 // Gateway is the serving gateway: it admits requests, routes each one to a
 // backend by weighted sampling over the current strategy profile, forwards
-// over HTTP with retries, and (optionally) re-equilibrates the profile from
-// polled queue depths while traffic flows. With the health layer enabled it
-// additionally circuit-breaks dead backends, re-solves the Nash game over
-// the survivors, sheds infeasible load, and folds recovered machines back
-// in on a capacity ramp.
+// it over the binary work hop with retries, and (optionally) re-equilibrates
+// the profile from polled queue depths while traffic flows. With the health
+// layer enabled it additionally circuit-breaks dead backends, re-solves the
+// Nash game over the survivors, sheds infeasible load, and folds recovered
+// machines back in on a capacity ramp.
 type Gateway struct {
 	cfg GatewayConfig
 
@@ -209,8 +211,9 @@ type Gateway struct {
 	userRng []*rng.Stream
 	bucket  *ShardedTokenBucket
 	met     *gatewayMetrics
-	clients []*http.Client // per backend, own pooled transport
-	workURL []string       // pre-resolved backend /work URLs
+	clients []*http.Client // per backend: /healthz and /queue polls
+	pools   []*workPool    // per backend: upgraded work-hop connections
+	frameID atomic.Uint64  // the last request ID sent on the work hop
 	// rateOrder holds all backends by descending service rate — the
 	// precomputed last-resort fallback when a user's whole row is dead.
 	rateOrder []int32
@@ -332,17 +335,23 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		cancel:     cancel,
 		quit:       make(chan struct{}),
 		clients:    make([]*http.Client, n),
-		workURL:    make([]string, n),
+		pools:      make([]*workPool, n),
 		rateOrder:  weightOrder(cfg.Rates, false),
 	}
-	// One pooled transport per backend: connection reuse never competes
-	// across backends. Fresh dials are counted in the transport's dialer —
-	// off the request hot path — and /metrics derives warm reuses as
-	// attempts minus dials, so reuse accounting costs the forward path one
-	// atomic add instead of a per-request httptrace context.
+	// One work pool and one HTTP transport per backend: connection reuse
+	// never competes across backends. Fresh dials are counted where they
+	// happen — off the request hot path — and /metrics derives warm reuses
+	// as attempts minus dials, so reuse accounting costs the forward path
+	// one atomic add.
 	dialer := &net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}
 	for j := 0; j < n; j++ {
 		j := j
+		target, err := parseWorkTarget(cfg.Backends[j])
+		if err != nil {
+			cancel()
+			return nil, err
+		}
+		g.pools[j] = &workPool{target: target, maxIdle: cfg.MaxIdleConnsPerHost, opened: &g.met.connOpened[j]}
 		g.clients[j] = &http.Client{
 			Transport: &http.Transport{
 				DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -354,7 +363,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 				IdleConnTimeout:     90 * time.Second,
 			},
 		}
-		g.workURL[j] = cfg.Backends[j] + "/work"
 	}
 	g.scratch.New = func() any { return &fwdScratch{} }
 	src := rng.NewSource(cfg.Seed)
@@ -510,9 +518,7 @@ func (g *Gateway) Close() error {
 		err = errors.Join(err, g.srv.Close())
 	}
 	g.wg.Wait()
-	for _, c := range g.clients {
-		c.CloseIdleConnections()
-	}
+	g.closeConns()
 	g.srv = nil
 	return err
 }
@@ -532,11 +538,17 @@ func (g *Gateway) Kill() error {
 	g.cancel()
 	err := g.srv.Close()
 	g.wg.Wait()
-	for _, c := range g.clients {
-		c.CloseIdleConnections()
-	}
+	g.closeConns()
 	g.srv = nil
 	return err
+}
+
+// closeConns drops every backend's idle connections.
+func (g *Gateway) closeConns() {
+	for j, c := range g.clients {
+		c.CloseIdleConnections()
+		g.pools[j].close()
+	}
 }
 
 // closing reports whether Close has begun (loops must not install state).
@@ -606,36 +618,34 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The forward itself runs on pooled scratch: the backend body is read
-	// into a reused buffer and the response JSON is appended into another,
-	// so the gateway's own work around the proxied call allocates nothing
-	// in the steady state (TestForwardPathAllocs gates the pieces).
-	sc := g.scratch.Get().(*fwdScratch)
-	defer g.scratch.Put(sc)
 	start := time.Now()
-	res := g.dispatch(r.Context(), user, backend, sc)
+	res := g.dispatch(r.Context(), user, backend)
 	elapsed := time.Since(start)
 	switch {
 	case res.err != nil:
 		g.met.backendErrors[res.backend].Add(1)
 		http.Error(w, fmt.Sprintf("backend %d: %v", res.backend, res.err), http.StatusBadGateway)
 		return
-	case res.status == http.StatusServiceUnavailable:
+	case res.reply.Status == statusQueueFull, res.reply.Status == statusClosing:
 		g.met.backendRejects[res.backend].Add(1)
-		http.Error(w, fmt.Sprintf("backend %d queue full", res.backend), http.StatusServiceUnavailable)
+		http.Error(w, fmt.Sprintf("backend %d %s", res.backend, res.reply.Status), http.StatusServiceUnavailable)
 		return
-	case res.status != http.StatusOK:
+	case res.reply.Status != statusOK:
 		g.met.backendErrors[res.backend].Add(1)
-		http.Error(w, fmt.Sprintf("backend %d status %d", res.backend, res.status), http.StatusBadGateway)
+		http.Error(w, fmt.Sprintf("backend %d %s", res.backend, res.reply.Status), http.StatusBadGateway)
 		return
 	}
 
 	g.met.backendRequests[res.backend].Add(1)
 	g.met.observe(user, elapsed.Seconds())
 
-	service, _ := parseServiceSeconds(res.body)
+	// The response JSON is appended into pooled scratch, so the gateway's
+	// own work around the forwarded job allocates nothing in the steady
+	// state (TestForwardPathAllocs gates the pieces).
+	sc := g.scratch.Get().(*fwdScratch)
+	defer g.scratch.Put(sc)
 	w.Header().Set("Content-Type", "application/json")
-	sc.out = appendSubmitResponse(sc.out[:0], user, res.backend, service, elapsed.Seconds())
+	sc.out = appendSubmitResponse(sc.out[:0], user, res.backend, res.reply.Service, elapsed.Seconds())
 	_, _ = w.Write(sc.out)
 }
 
@@ -702,8 +712,7 @@ func (g *Gateway) hedgeTarget(user, primary int) int {
 // fwdResult is one dispatch outcome, tagged with the backend that produced
 // it (with hedging, not necessarily the sampled primary).
 type fwdResult struct {
-	status  int
-	body    []byte
+	reply   workReply
 	err     error
 	backend int
 }
@@ -711,23 +720,19 @@ type fwdResult struct {
 // dispatch forwards the request, optionally hedging the tail: if the
 // primary has not answered within HedgeAfter, a duplicate goes to the
 // caller's second-best machine and the first success wins (the loser is
-// cancelled). Without hedging it is a plain forward on the caller's pooled
-// scratch; hedge attempts run on their own buffers (two goroutines must
-// never share one scratch).
-func (g *Gateway) dispatch(ctx context.Context, user, backend int, sc *fwdScratch) fwdResult {
+// cancelled). Without hedging it is a plain forward.
+func (g *Gateway) dispatch(ctx context.Context, user, backend int) fwdResult {
 	if g.cfg.HedgeAfter <= 0 {
-		var status int
-		var err error
-		status, sc.body, err = g.forward(ctx, backend, sc.body[:0])
-		return fwdResult{status: status, body: sc.body, err: err, backend: backend}
+		reply, err := g.forward(ctx, backend)
+		return fwdResult{reply: reply, err: err, backend: backend}
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan fwdResult, 2)
 	launch := func(j int) {
 		go func() {
-			status, body, err := g.forward(hctx, j, nil)
-			results <- fwdResult{status: status, body: body, err: err, backend: j}
+			reply, err := g.forward(hctx, j)
+			results <- fwdResult{reply: reply, err: err, backend: j}
 		}()
 	}
 	launch(backend)
@@ -740,7 +745,7 @@ func (g *Gateway) dispatch(ctx context.Context, user, backend int, sc *fwdScratc
 		select {
 		case res := <-results:
 			inflight--
-			if res.err == nil && res.status == http.StatusOK {
+			if res.err == nil && res.reply.Status == statusOK {
 				if hedged && res.backend != backend {
 					g.met.hedgeWins.Add(1)
 				}
@@ -783,18 +788,6 @@ func (g *Gateway) userID(r *http.Request) (int, error) {
 	return user, nil
 }
 
-// healthyStatus classifies an HTTP answer as a health signal: anything the
-// backend produced while alive counts as healthy — including its queue-full
-// 503, which is flagged with X-Queue-Full and means "busy", not "down".
-// Unflagged 5xx answers (a chaos proxy's 500, a crashing handler) count as
-// failures.
-func healthyStatus(status int, header http.Header) bool {
-	if status < 500 {
-		return true
-	}
-	return status == http.StatusServiceUnavailable && header.Get("X-Queue-Full") == "1"
-}
-
 // reportHealth feeds one attempt outcome into the backend's breaker and, on
 // a state change, wakes the health loop to re-equilibrate immediately
 // instead of waiting out the probe period.
@@ -817,19 +810,16 @@ func (g *Gateway) reportHealth(backend int, ok bool, errText string) {
 // on transport failures (dist.Backoff): the retry count is the configured
 // Retries capped by AttemptsFor(Timeout) — the shared horizon arithmetic
 // also used by the health prober — and each retry must be granted by the
-// retry budget, so an outage cannot amplify the offered load. HTTP-level
-// answers, including the backend's queue-full 503, are returned to the
-// caller without retry: the job may already have consumed queue space, and
-// admission decisions are the caller's to surface. Every attempt outcome
-// feeds the backend's breaker as a passive health signal.
+// retry budget, so an outage cannot amplify the offered load. Replies,
+// including the backend's queue full, are returned to the caller without
+// retry: the job may already have consumed queue space, and admission
+// decisions are the caller's to surface. Every attempt outcome feeds the
+// backend's breaker as a passive health signal.
 //
-// The call runs on the backend's own pooled transport (fresh dials counted
-// by its DialContext wrapper) against its pre-resolved /work URL, and the
-// body is append-read into buf, so a steady-state forward reuses the
-// caller's scratch instead of allocating per request. The returned slice
-// aliases buf's (possibly grown) array; hedge attempts pass nil and get a
-// private allocation.
-func (g *Gateway) forward(ctx context.Context, backend int, buf []byte) (int, []byte, error) {
+// Each attempt is one frame exchange on the backend's work pool, under a
+// deadline of min(ctx's deadline, now + Timeout); a dial, a refused
+// upgrade, a timeout and a reply with the wrong ID are transport failures.
+func (g *Gateway) forward(ctx context.Context, backend int) (workReply, error) {
 	backoff := dist.Backoff{Base: g.cfg.RetryBase, Max: g.cfg.RetryMax}
 	retries := g.cfg.Retries
 	if lim := backoff.AttemptsFor(g.cfg.Timeout); retries > lim {
@@ -847,48 +837,34 @@ func (g *Gateway) forward(ctx context.Context, backend int, buf []byte) (int, []
 			select {
 			case <-time.After(backoff.Next()):
 			case <-ctx.Done():
-				return 0, nil, ctx.Err()
+				return workReply{}, ctx.Err()
 			}
 		}
 		attempts++
 		g.met.connAttempts[backend].Add(1)
-		callCtx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
-		req, err := http.NewRequestWithContext(callCtx, http.MethodGet, g.workURL[backend], nil)
-		if err != nil {
-			cancel()
-			return 0, nil, err
+		deadline := time.Now().Add(g.cfg.Timeout)
+		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+			deadline = d
 		}
-		resp, err := g.clients[backend].Do(req)
+		reply, err := g.pools[backend].roundTrip(ctx, g.frameID.Add(1), deadline)
 		if err != nil {
-			cancel()
 			if ctx.Err() != nil {
 				// Caller gone or hedge lost: no verdict on the backend.
-				return 0, nil, ctx.Err()
+				return workReply{}, ctx.Err()
 			}
 			g.reportHealth(backend, false, err.Error())
 			lastErr = err
 			continue
 		}
-		body, err := readAppend(buf[:0], resp.Body)
-		resp.Body.Close()
-		cancel()
-		if err != nil {
-			if ctx.Err() != nil {
-				return 0, nil, ctx.Err()
-			}
-			g.reportHealth(backend, false, err.Error())
-			lastErr = err
-			continue
-		}
-		ok := healthyStatus(resp.StatusCode, resp.Header)
+		ok := healthyReply(reply.Status)
 		errText := ""
 		if !ok {
-			errText = fmt.Sprintf("status %d", resp.StatusCode)
+			errText = reply.Status.String()
 		}
 		g.reportHealth(backend, ok, errText)
-		return resp.StatusCode, body, nil
+		return reply, nil
 	}
-	return 0, nil, fmt.Errorf("after %d attempts: %w", attempts, lastErr)
+	return workReply{}, fmt.Errorf("after %d attempts: %w", attempts, lastErr)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1284,6 +1260,7 @@ func (g *Gateway) reequilibrate(weights []float64) {
 
 	profile := g.solveReduced(muEff, alive, admitFrac)
 	if profile == nil {
+		g.met.solveFailures.Add(1)
 		profile = renormalizeExclude(g.Profile(), alive, muEff)
 	}
 	table, err := newRouteTable(profile, n)

@@ -1,161 +1,18 @@
 package serve
 
 import (
-	"bytes"
-	"io"
 	"math"
 	"strconv"
 )
 
 // fwdScratch is the pooled per-request workspace of the forwarding hot
-// path: the backend body is append-read into body and the response JSON is
-// appended into out, so in the steady state a forwarded request touches no
-// heap at all for the gateway's own work (TestForwardPathAllocs gates the
-// pieces; net/http's internal allocations are outside the claim). Buffers
-// grow to the high-water mark and stay there — bodies are tens of bytes.
+// path: the response JSON is appended into out, so in the steady state a
+// forwarded request touches no heap for the gateway's own work
+// (TestForwardPathAllocs gates the pieces; net/http's internal allocations
+// on the front hop are outside the claim). The buffer grows to the
+// high-water mark and stays there — responses are tens of bytes.
 type fwdScratch struct {
-	out  []byte
-	body []byte
-}
-
-// readAppend reads r to EOF, appending into dst (the reuse-friendly
-// io.ReadAll: the caller's buffer grows once to the body's high-water mark
-// and subsequent reads are allocation-free).
-func readAppend(dst []byte, r io.Reader) ([]byte, error) {
-	if cap(dst) == 0 {
-		dst = make([]byte, 0, 512)
-	}
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
-}
-
-var serviceKey = []byte(`"service_s"`)
-
-// parseServiceSeconds extracts the service_s value from a backend /work
-// body without allocating: strconv.ParseFloat needs a string (and its
-// error path makes the conversion escape), so the hot path scans the JSON
-// number by hand. Returns false when the key or a well-formed number is
-// missing — the caller reports the service time as zero rather than
-// failing the request over a cosmetic field.
-func parseServiceSeconds(body []byte) (float64, bool) {
-	i := bytes.Index(body, serviceKey)
-	if i < 0 {
-		return 0, false
-	}
-	i += len(serviceKey)
-	for i < len(body) && isJSONSpace(body[i]) {
-		i++
-	}
-	if i >= len(body) || body[i] != ':' {
-		return 0, false
-	}
-	i++
-	for i < len(body) && isJSONSpace(body[i]) {
-		i++
-	}
-	v, _, ok := parseFloatBytes(body[i:])
-	return v, ok
-}
-
-func isJSONSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
-}
-
-// parseFloatBytes parses a decimal floating-point number (optional sign,
-// fraction, e-notation) from the front of b, returning the value, the
-// bytes consumed, and whether a number was present. Mantissa digits beyond
-// uint64 precision are dropped with the exponent adjusted — the strconv
-// fast path's arithmetic, exact for the shortest-form floats the backends
-// emit.
-func parseFloatBytes(b []byte) (float64, int, bool) {
-	i := 0
-	neg := false
-	if i < len(b) && (b[i] == '-' || b[i] == '+') {
-		neg = b[i] == '-'
-		i++
-	}
-	var mant uint64
-	digits, exp := 0, 0
-	sawDigit := false
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		sawDigit = true
-		if digits < 19 {
-			mant = mant*10 + uint64(b[i]-'0')
-			digits++
-		} else {
-			exp++
-		}
-		i++
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			sawDigit = true
-			if digits < 19 {
-				mant = mant*10 + uint64(b[i]-'0')
-				digits++
-				exp--
-			}
-			i++
-		}
-	}
-	if !sawDigit {
-		return 0, 0, false
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		j := i + 1
-		esign := 1
-		if j < len(b) && (b[j] == '-' || b[j] == '+') {
-			if b[j] == '-' {
-				esign = -1
-			}
-			j++
-		}
-		e, sawExp := 0, false
-		for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-			if e < 10000 {
-				e = e*10 + int(b[j]-'0')
-			}
-			sawExp = true
-			j++
-		}
-		if sawExp {
-			exp += esign * e
-			i = j
-		}
-	}
-	v := float64(mant)
-	// Scale stepwise so exponents beyond ±308 (subnormals, huge values)
-	// don't push Pow10 itself to Inf/0 before the mantissa is applied.
-	for exp > 308 {
-		v *= 1e308
-		exp -= 308
-	}
-	for exp < -308 {
-		v /= 1e308
-		exp += 308
-	}
-	switch {
-	case exp > 0:
-		v *= math.Pow10(exp)
-	case exp < 0:
-		v /= math.Pow10(-exp)
-	}
-	if neg {
-		v = -v
-	}
-	return v, i, true
+	out []byte
 }
 
 // appendSubmitResponse appends the SubmitResponse wire form (field order

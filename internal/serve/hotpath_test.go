@@ -3,9 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"io"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -29,50 +28,6 @@ func hotGateway(t testing.TB) *Gateway {
 		t.Fatal(err)
 	}
 	return g
-}
-
-// TestParseServiceSeconds checks the hand-rolled body parser against
-// strconv.ParseFloat over representative and adversarial bodies.
-func TestParseServiceSeconds(t *testing.T) {
-	numbers := []string{
-		"0", "1", "0.25", "0.0123456789", "1e-05", "1.2345678901234e-07",
-		"3.5e+2", "12345.6789", "0.010000000000000002", "9.999999e-10",
-		"2.2250738585072014e-308", "42E3", "-0.5",
-	}
-	for _, num := range numbers {
-		body := fmt.Sprintf("{\"service_s\": %s}\n", num)
-		got, ok := parseServiceSeconds([]byte(body))
-		if !ok {
-			t.Fatalf("%q: not parsed", body)
-		}
-		want, err := strconv.ParseFloat(num, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := math.Abs(got - want); diff > math.Abs(want)*1e-14 {
-			t.Fatalf("%q: got %g, want %g", body, got, want)
-		}
-	}
-	// Whitespace and key-position variants.
-	for _, body := range []string{
-		`{"service_s":0.5}`,
-		`{"service_s" : 0.5}`,
-		"{\n  \"service_s\":\t0.5\n}",
-		`{"other":1,"service_s":0.5,"more":2}`,
-	} {
-		if got, ok := parseServiceSeconds([]byte(body)); !ok || got != 0.5 {
-			t.Fatalf("%q: got (%g, %v), want (0.5, true)", body, got, ok)
-		}
-	}
-	// Malformed or missing: no value, no panic.
-	for _, body := range []string{
-		``, `{}`, `{"service":0.5}`, `{"service_s":}`, `{"service_s"`,
-		`{"service_s": "half"}`, `{"service_s":+}`,
-	} {
-		if _, ok := parseServiceSeconds([]byte(body)); ok {
-			t.Fatalf("%q: parsed, want failure", body)
-		}
-	}
 }
 
 // TestAppendSubmitResponse pins the wire form: what the append encoder
@@ -105,47 +60,25 @@ func TestAppendSubmitResponse(t *testing.T) {
 	}
 }
 
-// TestReadAppend checks the reuse-friendly reader: content equality,
-// in-place reuse of a warm buffer, and growth past the initial capacity.
-func TestReadAppend(t *testing.T) {
-	payload := []byte(`{"service_s":0.25}` + "\n")
-	buf, err := readAppend(nil, bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, payload) {
-		t.Fatalf("got %q, want %q", buf, payload)
-	}
-	// A warm buffer must be reused, not reallocated.
-	warm := buf
-	buf, err = readAppend(buf[:0], bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &buf[0] != &warm[0] {
-		t.Fatal("warm buffer was reallocated")
-	}
-	// Bodies larger than the buffer grow transparently.
-	big := bytes.Repeat([]byte("x"), 8192)
-	buf, err = readAppend(buf[:0], bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, big) {
-		t.Fatalf("large body corrupted: %d bytes, want %d", len(buf), len(big))
-	}
+// replyFrame is an encoded ok reply carrying a 12.345 ms service time.
+func replyFrame() []byte {
+	frame := make([]byte, replyFrameLen)
+	encodeReply(frame, workReply{ID: 1, Status: statusOK, Service: 0.012345})
+	return frame
 }
 
 // TestForwardPathAllocs gates the tentpole claim the same way the DES
 // kernel is gated: the gateway-added work around a forwarded request —
-// sharded admission, pre-resolved routing, body read into pooled scratch,
-// service-time parse, response encode, response-time observation — runs at
-// zero steady-state allocations. (net/http's own transport allocations are
-// outside this claim; BenchmarkServeThroughput/e2e reports them honestly.)
+// sharded admission, pre-resolved routing, reply frame read into the
+// connection's buffer and decoded, response encode, response-time
+// observation — runs at zero steady-state allocations. (net/http's own
+// allocations on the front hop are outside this claim;
+// BenchmarkServeThroughput/e2e reports them honestly.)
 func TestForwardPathAllocs(t *testing.T) {
 	g := hotGateway(t)
-	payload := []byte(`{"service_s":0.012345}` + "\n")
+	payload := replyFrame()
 	reader := bytes.NewReader(payload)
+	conn := &workConn{}
 	sc := g.scratch.Get().(*fwdScratch)
 	defer g.scratch.Put(sc)
 
@@ -158,12 +91,14 @@ func TestForwardPathAllocs(t *testing.T) {
 			t.Fatal("no routable backend")
 		}
 		reader.Reset(payload)
-		var err error
-		sc.body, err = readAppend(sc.body[:0], reader)
+		if _, err := io.ReadFull(reader, conn.buf[:]); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := decodeReply(conn.buf[:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		service, _ := parseServiceSeconds(sc.body)
+		service := reply.Service
 		sc.out = appendSubmitResponse(sc.out[:0], 1, backend, service, 0.001)
 		g.met.observe(1, 0.001)
 		sinkInt = backend
@@ -178,9 +113,10 @@ func TestForwardPathAllocs(t *testing.T) {
 
 // TestHotPathSpeedup is the ≥3x acceptance gate, measured in-process so the
 // ratio is robust to machine speed: the rewritten per-request work (sharded
-// admission, pooled scratch, hand-rolled parse/encode) against the pre-PR
-// per-request work (mutex bucket, io.ReadAll, json.Unmarshal, json.Encoder)
-// on the same routing table and body.
+// admission, reply frame decode, hand-rolled encode into pooled scratch)
+// against the pre-rewrite per-request work (mutex bucket, io.ReadAll of a JSON
+// body, json.Unmarshal, json.Encoder) on the same routing table and
+// service time.
 func TestHotPathSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
@@ -189,13 +125,12 @@ func TestHotPathSpeedup(t *testing.T) {
 		t.Skip("race instrumentation inflates the atomic-heavy hot path; ratio is only meaningful without it")
 	}
 	g := hotGateway(t)
-	payload := []byte(`{"service_s":0.012345}` + "\n")
 
 	hot := testing.Benchmark(func(b *testing.B) {
-		benchmarkHotPath(b, g, payload)
+		benchmarkHotPath(b, g)
 	})
 	legacy := testing.Benchmark(func(b *testing.B) {
-		benchmarkLegacyPath(b, g, payload)
+		benchmarkLegacyPath(b, g)
 	})
 	hotNs := float64(hot.NsPerOp())
 	legacyNs := float64(legacy.NsPerOp())
@@ -208,8 +143,10 @@ func TestHotPathSpeedup(t *testing.T) {
 }
 
 // benchmarkHotPath exercises the rewritten gateway-added per-request work.
-func benchmarkHotPath(b *testing.B, g *Gateway, payload []byte) {
+func benchmarkHotPath(b *testing.B, g *Gateway) {
+	payload := replyFrame()
 	reader := bytes.NewReader(payload)
+	conn := &workConn{}
 	sc := g.scratch.Get().(*fwdScratch)
 	defer g.scratch.Put(sc)
 	b.ReportAllocs()
@@ -218,8 +155,9 @@ func benchmarkHotPath(b *testing.B, g *Gateway, payload []byte) {
 		g.bucket.Admit()
 		backend, _ := g.pickBackend(1)
 		reader.Reset(payload)
-		sc.body, _ = readAppend(sc.body[:0], reader)
-		service, _ := parseServiceSeconds(sc.body)
+		_, _ = io.ReadFull(reader, conn.buf[:])
+		reply, _ := decodeReply(conn.buf[:])
+		service := reply.Service
 		sc.out = appendSubmitResponse(sc.out[:0], 1, backend, service, 0.001)
 		g.met.observe(1, 0.001)
 		sinkInt = backend
@@ -227,12 +165,13 @@ func benchmarkHotPath(b *testing.B, g *Gateway, payload []byte) {
 	}
 }
 
-// benchmarkLegacyPath reproduces the pre-PR per-request work on the same
-// inputs: one global-mutex token bucket, io.ReadAll of the backend body,
-// reflective json.Unmarshal of the service time, and a fresh json.Encoder
-// for the response (the alias pick itself was already O(1) before this PR
-// and is shared by both paths).
-func benchmarkLegacyPath(b *testing.B, g *Gateway, payload []byte) {
+// benchmarkLegacyPath reproduces the pre-rewrite per-request work on the same
+// inputs: one global-mutex token bucket, io.ReadAll of the backend's JSON
+// body, reflective json.Unmarshal of the service time, and a fresh
+// json.Encoder for the response (the alias pick itself was already O(1)
+// before the rewrite and is shared by both paths).
+func benchmarkLegacyPath(b *testing.B, g *Gateway) {
+	payload := []byte(`{"service_s":0.012345}` + "\n")
 	bucket := NewTokenBucket(1e12, 1e12)
 	var out strings.Builder
 	b.ReportAllocs()

@@ -135,7 +135,7 @@ type LoadResult struct {
 	Failed   []int64
 	// Status2xx, Status429, Status503 and Status5xx break the outcomes down
 	// by status class per user (Status5xx counts 5xx other than 503 — 502s
-	// from a dead backend, injected 500s). Shed counts the subset of 503s
+	// from a dead backend, injected failures). Shed counts the subset of 503s
 	// carrying Retry-After, the gateway's degraded-mode shedding signature.
 	Status2xx []int64
 	Status429 []int64

@@ -43,11 +43,11 @@ type metricShard struct {
 // histograms and moments sharded per-CPU and merged on scrape.
 type gatewayMetrics struct {
 	backendRequests []atomic.Int64 // forwarded and answered 200
-	backendRejects  []atomic.Int64 // backend said queue-full (503)
-	backendErrors   []atomic.Int64 // transport failures after retries
+	backendRejects  []atomic.Int64 // backend replied queue full or closing (503)
+	backendErrors   []atomic.Int64 // failed replies, transport failures after retries
 	queueDepth      []atomic.Int64 // last polled depth gauge
-	connOpened      []atomic.Int64 // fresh dials per backend pool (transport dialer)
-	connAttempts    []atomic.Int64 // requests entering each backend pool
+	connOpened      []atomic.Int64 // fresh dials per backend (work pool and HTTP polls)
+	connAttempts    []atomic.Int64 // forward attempts, probes and polls per backend
 	userAdmitted    []atomic.Int64 // admitted requests per user (arrival estimation)
 	admitted        atomic.Int64
 	rejectedRate    atomic.Int64 // token bucket said no
@@ -60,6 +60,7 @@ type gatewayMetrics struct {
 	reequils        atomic.Int64 // health-driven routing installs
 	tableInstalls   atomic.Int64 // control-plane routing tables installed
 	breakerOpens    atomic.Int64 // breaker trips to open
+	solveFailures   atomic.Int64 // re-solves that fell back to renormalizing
 	retryDenied     atomic.Int64 // retries refused by the retry budget
 	hedges          atomic.Int64 // hedge requests launched
 	hedgeWins       atomic.Int64 // hedges that answered first
@@ -185,11 +186,14 @@ type Snapshot struct {
 	Polls         int64
 	// Shed counts degraded-mode refusals; Reequilibrations counts
 	// health-driven routing installs; TableInstalls counts control-plane
-	// (fleet) routing tables applied; BreakerOpens counts breaker trips.
+	// (fleet) routing tables applied; BreakerOpens counts breaker trips;
+	// SolveFailures counts health-driven re-solves that failed, so the
+	// install renormalized the current profile instead.
 	Shed             int64
 	Reequilibrations int64
 	TableInstalls    int64
 	BreakerOpens     int64
+	SolveFailures    int64
 	// RetryDenied counts retries the budget refused; Hedges/HedgeWins count
 	// tail hedges launched and hedges that answered first.
 	RetryDenied int64
@@ -233,6 +237,7 @@ func (m *gatewayMetrics) snapshot() *Snapshot {
 		Reequilibrations: m.reequils.Load(),
 		TableInstalls:    m.tableInstalls.Load(),
 		BreakerOpens:     m.breakerOpens.Load(),
+		SolveFailures:    m.solveFailures.Load(),
 		RetryDenied:      m.retryDenied.Load(),
 		Hedges:           m.hedges.Load(),
 		HedgeWins:        m.hedgeWins.Load(),
@@ -320,6 +325,9 @@ func (m *gatewayMetrics) render(b *strings.Builder) {
 	w("# HELP nashgate_breaker_opens_total Circuit-breaker trips to open.\n")
 	w("# TYPE nashgate_breaker_opens_total counter\n")
 	w("nashgate_breaker_opens_total %d\n", m.breakerOpens.Load())
+	w("# HELP nashgate_solve_failures_total Health-driven re-solves that failed and fell back to renormalizing the current profile.\n")
+	w("# TYPE nashgate_solve_failures_total counter\n")
+	w("nashgate_solve_failures_total %d\n", m.solveFailures.Load())
 	w("# HELP nashgate_retry_denied_total Retries refused by the retry budget.\n")
 	w("# TYPE nashgate_retry_denied_total counter\n")
 	w("nashgate_retry_denied_total %d\n", m.retryDenied.Load())

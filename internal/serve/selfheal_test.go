@@ -42,25 +42,18 @@ func solveNash(t *testing.T, rates, arrivals []float64) game.Profile {
 }
 
 func TestHealthyStatusClassification(t *testing.T) {
-	plain := http.Header{}
-	busy := http.Header{}
-	busy.Set("X-Queue-Full", "1")
 	cases := []struct {
-		status int
-		header http.Header
+		status workStatus
 		want   bool
 	}{
-		{http.StatusOK, plain, true},
-		{http.StatusNotFound, plain, true},          // alive enough to answer
-		{http.StatusServiceUnavailable, busy, true}, // queue full = busy, not down
-		{http.StatusServiceUnavailable, plain, false},
-		{http.StatusInternalServerError, plain, false},
-		{http.StatusBadGateway, plain, false},
+		{statusOK, true},
+		{statusQueueFull, true}, // queue full = busy, not down
+		{statusClosing, false},
+		{statusFailed, false},
 	}
 	for _, c := range cases {
-		if got := healthyStatus(c.status, c.header); got != c.want {
-			t.Errorf("healthyStatus(%d, queueFull=%v) = %v, want %v",
-				c.status, c.header.Get("X-Queue-Full") != "", got, c.want)
+		if got := healthyReply(c.status); got != c.want {
+			t.Errorf("healthyReply(%s) = %v, want %v", c.status, got, c.want)
 		}
 	}
 }
@@ -451,7 +444,9 @@ func TestGatewayCloseDuringEpoch(t *testing.T) {
 	}
 	// Let several poll/probe epochs overlap the traffic, then close
 	// mid-epoch.
-	time.Sleep(25 * time.Millisecond)
+	testutil.WaitFor(t, 5*time.Second, "poll epochs never ran beside the traffic", func() bool {
+		return g.Metrics().Polls >= 5
+	})
 	start := time.Now()
 	if err := g.Close(); err != nil {
 		t.Fatalf("close: %v", err)

@@ -77,23 +77,16 @@ func TestBackendServesWork(t *testing.T) {
 	}
 	defer b.Close()
 
-	for i := 0; i < 5; i++ {
-		resp, err := http.Get(b.URL() + "/work")
-		if err != nil {
-			t.Fatal(err)
+	replies, err := sendWork(b.URL(), 5, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range replies {
+		if r.ID != uint64(i+1) || r.Status != statusOK {
+			t.Fatalf("frame %d: reply %+v", i+1, r)
 		}
-		var body struct {
-			ServiceSeconds float64 `json:"service_s"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, resp.StatusCode)
-		}
-		if body.ServiceSeconds <= 0 {
-			t.Fatalf("request %d: non-positive service time %g", i, body.ServiceSeconds)
+		if r.Service <= 0 {
+			t.Fatalf("frame %d: non-positive service time %g", i+1, r.Service)
 		}
 	}
 	if got := b.Served(); got != 5 {
@@ -118,8 +111,8 @@ func TestBackendServesWork(t *testing.T) {
 }
 
 func TestBackendQueueFull(t *testing.T) {
-	// One slot: the job in service occupies it, so a concurrent second
-	// request must bounce with 503 + X-Queue-Full.
+	// One slot: the job in service occupies it, so a frame on a second
+	// connection must get the queue-full reply.
 	b, err := NewBackend(BackendConfig{Rate: 5, QueueCap: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +126,8 @@ func TestBackendQueueFull(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, err := http.Get(b.URL() + "/work")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+		if s, err := workStatusOf(b.URL(), 10*time.Second); err != nil || s != statusOK {
+			t.Errorf("first job: %v %v", s, err)
 		}
 	}()
 	// Wait until the first job occupies the queue.
@@ -144,17 +135,12 @@ func TestBackendQueueFull(t *testing.T) {
 		return b.Depth() > 0
 	})
 
-	resp, err := http.Get(b.URL() + "/work")
+	s, err := workStatusOf(b.URL(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overflow request: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("X-Queue-Full") != "1" {
-		t.Fatal("overflow 503 missing X-Queue-Full header")
+	if s != statusQueueFull {
+		t.Fatalf("overflow frame: reply %s, want queue full", s)
 	}
 	if b.Rejected() != 1 {
 		t.Fatalf("Rejected() = %d, want 1", b.Rejected())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -17,36 +16,38 @@ import (
 //   - legacy: the pre-PR per-request work on identical inputs — the
 //     denominator of the ≥3x speedup gate (verify.sh recomputes the ratio
 //     from these two).
-//   - e2e:    a full HTTP round trip through a started gateway to a stub
-//     backend — the honest number including net/http, reported with the
-//     per-request wall time.
+//   - e2e:    a full round trip from one serial HTTP client through a
+//     started gateway and the work hop to a started Backend whose service
+//     takes about a microsecond — the honest number including net/http on
+//     the front hop, reported with the per-request wall time.
 //
 // Every sub-benchmark reports req/s via ReportMetric so the JSON carries
 // throughput directly instead of leaving readers to invert ns/op.
 func BenchmarkServeThroughput(b *testing.B) {
-	payload := []byte(`{"service_s":0.012345}` + "\n")
-
 	b.Run("hot", func(b *testing.B) {
 		g := hotGateway(b)
-		benchmarkHotPath(b, g, payload)
+		benchmarkHotPath(b, g)
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	})
 
 	b.Run("legacy", func(b *testing.B) {
 		g := hotGateway(b)
-		benchmarkLegacyPath(b, g, payload)
+		benchmarkLegacyPath(b, g)
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	})
 
 	b.Run("e2e", func(b *testing.B) {
-		backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(payload)
-		}))
+		backend, err := NewBackend(BackendConfig{Rate: 1e6, Seed: 11})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := backend.Start(); err != nil {
+			b.Fatal(err)
+		}
 		defer backend.Close()
 
 		g, err := NewGateway(GatewayConfig{
-			Backends: []string{backend.URL},
+			Backends: []string{backend.URL()},
 			Rates:    []float64{1000},
 			Arrivals: []float64{1},
 			Seed:     11,
@@ -128,19 +129,6 @@ func BenchmarkShardedAdmission(b *testing.B) {
 			}
 		})
 	})
-}
-
-// BenchmarkParseServiceSeconds isolates the zero-alloc body parse.
-func BenchmarkParseServiceSeconds(b *testing.B) {
-	body := []byte(`{"service_s":0.012345678901234}` + "\n")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v, ok := parseServiceSeconds(body)
-		if !ok {
-			b.Fatal("parse failed")
-		}
-		sinkService = v
-	}
 }
 
 var sinkOut []byte

@@ -46,8 +46,9 @@ go test -race -count=3 -cpu 1,2,4 -p 1 -timeout 25m ./internal/serve/... ./inter
 
 # Fuzz smoke: a short randomized run of each native fuzz target (bisection
 # root finder, M/M/1 queue-depth inversion, fleet wire codec, durable
-# snapshot decoder, user-class spec parser). Regressions show up as crasher
-# inputs; Go allows one -fuzz target per invocation.
+# snapshot decoder, user-class spec parser, routing-table install, work-hop
+# frame codec). Regressions show up as crasher inputs; Go allows one -fuzz
+# target per invocation.
 echo "== go test -fuzz (smoke, 10s each)"
 go test -run '^$' -fuzz FuzzBisect -fuzztime 10s ./internal/numeric
 go test -run '^$' -fuzz FuzzQueueInversion -fuzztime 10s ./internal/estimate
@@ -55,6 +56,7 @@ go test -run '^$' -fuzz FuzzFleetWire -fuzztime 10s ./internal/fleet
 go test -run '^$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/fleet
 go test -run '^$' -fuzz FuzzParseClasses -fuzztime 10s ./internal/cli
 go test -run '^$' -fuzz FuzzInstallTable -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz FuzzWorkFrame -fuzztime 10s ./internal/serve
 
 # Serving-throughput regression gates: the forwarding hot path must keep
 # its >=3x advantage over the pre-PR per-request work, and the closed-loop
