@@ -33,7 +33,7 @@ type Ext11Row struct {
 	Solves int64
 	Skips  int64
 	// SolveSeconds is the wall-clock solve time; StateMB the solver's
-	// resident working state (CSR profile + caches); HeapDeltaMB the heap
+	// resident working state (per-type profile + caches); HeapDeltaMB the heap
 	// growth across the solve as seen by runtime.MemStats.
 	SolveSeconds float64
 	StateMB      float64

@@ -121,12 +121,13 @@ func runAuditSchedule(k int) (violations []audit.Violation, events int, err erro
 	}
 
 	// Let the fleet stabilize on its first reign, then unleash the schedule.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if nodes[0].Leader() == 0 && nodes[1].Leader() == 0 && nodes[2].Leader() == 0 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	// A fleet that never settles fails the schedule rather than auditing one
+	// that began mid-election. This runs on a worker goroutine, so it
+	// reports an error where testutil.WaitFor would call t.Fatal.
+	if !testutil.Eventually(3*time.Second, func() bool {
+		return nodes[0].Leader() == 0 && nodes[1].Leader() == 0 && nodes[2].Leader() == 0
+	}) {
+		return nil, 0, fmt.Errorf("%s: no first reign of leader 0 within 3s", sched.name)
 	}
 	nem.Start()
 	if sched.crash >= 0 {

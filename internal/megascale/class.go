@@ -16,12 +16,14 @@
 //
 //   - user classes (Class, ClassSystem): an aggregated description of the
 //     population with exact round-trip expansion back to per-user strategies;
-//   - a sparse CSR strategy profile (ClassProfile) storing fractions only for
-//     the machines a class is allowed to touch;
+//   - a strategy profile (ClassProfile) stored per machine type: one
+//     fraction per (class, type) the class may use, plus the machine → type
+//     map, from which per-machine rows, loads and expansions are read;
 //   - an incremental best-reply solver (Solve, SolveFrom) over machine types,
 //     whose per-class type ordering and spare-capacity caches are repaired,
 //     not rebuilt, between rounds, driven by a dirty-set of types whose load
-//     changed; the per-machine profile is built once, when the solve returns.
+//     changed; it returns its per-type state as the profile, so no step of a
+//     solve costs classes × machines.
 //
 // SolveSystem adapts a dense per-user game.System through the class engine
 // and back, and is a drop-in replacement for core.Solve.

@@ -65,10 +65,8 @@ func TestGroupMachines(t *testing.T) {
 			}
 			var start *ClassProfile
 			if tc.start != nil {
-				start = NewClassProfile(cs)
-				for c, row := range tc.start {
-					_, vals := start.Row(c)
-					copy(vals, row)
+				if start, err = NewClassProfile(cs, tc.start); err != nil {
+					t.Fatal(err)
 				}
 			}
 			typeOf, size := groupMachines(cs, start)

@@ -1,6 +1,7 @@
 package megascale
 
 import (
+	"runtime"
 	"testing"
 
 	"nashlb/internal/core"
@@ -69,6 +70,34 @@ func TestMegascaleSolveAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("steady-state round allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestMegascaleSolveResultAllocs gates what a solve stores: on EXT11's shape
+// of 10,000 machines in four types shared by 200 classes, Solve must
+// allocate under 1 MiB per call and report StateBytes under 1 MiB. A result
+// holding one fraction per (class, machine) would hold 2M of them, 16 MB.
+func TestMegascaleSolveResultAllocs(t *testing.T) {
+	cs := benchClassSystem(10_000, 200, 1_000_000, 0.7)
+	opts := Options{Init: core.InitProportional, Epsilon: 1e-6 * float64(cs.Users())}
+	const budget, calls = 1 << 20, 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var res *Result
+	for i := 0; i < calls; i++ {
+		var err error
+		if res, err = Solve(cs, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("Solve allocates %d bytes per call, StateBytes %d", perCall, res.StateBytes)
+	if perCall >= budget {
+		t.Errorf("Solve allocates %d bytes per call, want under %d", perCall, budget)
+	}
+	if res.StateBytes >= budget {
+		t.Errorf("StateBytes %d, want under %d", res.StateBytes, budget)
 	}
 }
 

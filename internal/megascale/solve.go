@@ -41,7 +41,8 @@ type Options struct {
 
 // Result is the outcome of the class-aggregated solver.
 type Result struct {
-	// Profile is the computed sparse strategy profile.
+	// Profile is the computed strategy profile, over the machine types the
+	// solve used.
 	Profile *ClassProfile
 	// Rounds is the number of completed best-reply rounds.
 	Rounds int
@@ -189,8 +190,7 @@ func SolveFrom(cs *ClassSystem, start *ClassProfile, opts Options) (*Result, err
 	return newSolver(cs, start).solve(opts)
 }
 
-// solve iterates best-reply rounds to convergence and builds the result,
-// including the per-machine profile.
+// solve iterates best-reply rounds to convergence and builds the result.
 func (s *solver) solve(opts Options) (*Result, error) {
 	eps := opts.Epsilon
 	if eps <= 0 {
@@ -259,7 +259,7 @@ func (s *solver) solve(opts Options) (*Result, error) {
 // allowed every machine splits nothing and is not scanned.
 func groupMachines(cs *ClassSystem, start *ClassProfile) (typeOf []int32, size []float64) {
 	of := make([]int32, len(cs.Rates))
-	count := make([]int, 0, len(cs.Rates))
+	var count []int
 	byRate := make(map[uint64]int32)
 	for j, mu := range cs.Rates {
 		b, ok := byRate[math.Float64bits(mu)]
@@ -280,26 +280,37 @@ func groupMachines(cs *ClassSystem, start *ClassProfile) (typeOf []int32, size [
 	var first []uint64
 	var touched []int32
 	var moved map[[2]uint64]int32
+	// at[t] holds the bits of the start's fraction for its type t in the
+	// row being scanned.
+	var at []uint64
 	for c := range cs.Classes {
-		var cols []int32
-		var vals []float64
+		cols := cs.Classes[c].Machines
 		if start != nil {
-			cols, vals = start.Row(c)
-		} else if cols = cs.Classes[c].Machines; cols == nil {
+			if at == nil {
+				at = make([]uint64, len(start.size))
+			}
+			types, fracs := start.typeRow(c)
+			for k, t := range types {
+				at[t] = math.Float64bits(fracs[k])
+			}
+			if cols == nil {
+				cols = start.allMachines()
+			}
+		} else if cols == nil {
 			continue
 		}
 		for len(mark) < len(count) {
 			mark, hit, first = append(mark, -1), append(hit, 0), append(first, 0)
 		}
-		value := func(k int) uint64 {
-			if vals == nil {
+		value := func(j int32) uint64 {
+			if start == nil {
 				return 0
 			}
-			return math.Float64bits(vals[k])
+			return at[start.typeOf[j]]
 		}
 		touched = touched[:0]
-		for k, j := range cols {
-			b, v := of[j], value(k)
+		for _, j := range cols {
+			b, v := of[j], value(j)
 			if mark[b] != c {
 				mark[b], first[b], hit[b] = c, v, 0
 				touched = append(touched, b)
@@ -325,12 +336,12 @@ func groupMachines(cs *ClassSystem, start *ClassProfile) (typeOf []int32, size [
 			moved = make(map[[2]uint64]int32)
 		}
 		clear(moved)
-		for k, j := range cols {
+		for _, j := range cols {
 			b := of[j]
 			if mark[b] != c {
 				continue
 			}
-			key := [2]uint64{uint64(b), value(k)}
+			key := [2]uint64{uint64(b), value(j)}
 			nb, ok := moved[key]
 			if !ok {
 				nb = int32(len(count))
@@ -422,16 +433,22 @@ func newSolver(cs *ClassSystem, start *ClassProfile) *solver {
 		st.lastTick = -1
 	}
 	if start != nil {
-		// Every machine of a type starts with the type's fraction.
-		at := make([]float64, types)
+		// Every machine of a type starts with the same fraction, so read
+		// it at the type's lowest machine: startType[t] is that machine's
+		// type in the start profile.
+		startType := make([]int32, types)
+		for j := len(typeOf) - 1; j >= 0; j-- {
+			startType[typeOf[j]] = start.typeOf[j]
+		}
+		at := make([]float64, len(start.size))
 		for c := range s.classes {
-			cols, vals := start.Row(c)
-			for k, j := range cols {
-				at[typeOf[j]] = vals[k]
+			types, fracs := start.typeRow(c)
+			for k, t := range types {
+				at[t] = fracs[k]
 			}
 			st := &s.classes[c]
 			for k, t := range st.cols {
-				st.frac[k] = at[t]
+				st.frac[k] = at[startType[t]]
 			}
 		}
 	}
@@ -471,20 +488,16 @@ func (s *solver) begin() {
 	}
 }
 
-// profile builds the per-machine profile: every machine carries its type's
-// fractions.
+// profile returns the solver's fractions as a profile over its machine
+// types, sharing the machine → type map and the type sizes.
 func (s *solver) profile() *ClassProfile {
-	p := NewClassProfile(s.cs)
-	at := make([]float64, len(s.size))
+	nnz := 0
 	for c := range s.classes {
-		st := &s.classes[c]
-		for k, t := range st.cols {
-			at[t] = st.frac[k]
-		}
-		cols, vals := p.Row(c)
-		for k, j := range cols {
-			vals[k] = at[s.typeOf[j]]
-		}
+		nnz += len(s.classes[c].cols)
+	}
+	p := newProfile(s.typeOf, s.size, len(s.classes), nnz)
+	for c := range s.classes {
+		p.addRow(s.classes[c].cols, s.classes[c].frac)
 	}
 	return p
 }
@@ -877,11 +890,12 @@ func (st *classState) solveAlpha(c int, sumA, sumS, warm float64) float64 {
 }
 
 // stateBytes reports the resident size of the solver's arrays plus the
-// per-machine profile built from them.
+// profile built from them, which holds the machine → type map and the type
+// sizes.
 func (s *solver) stateBytes(prof *ClassProfile) int64 {
-	bytes := prof.MemoryBytes() + int64(len(s.typeOf))*4 + int64(len(s.newFrac))*8
-	// Per type: rate, size, loads, comp, stamp, and the shared type list.
-	bytes += int64(len(s.size)) * (5*8 + 4)
+	bytes := prof.MemoryBytes() + int64(len(s.newFrac))*8
+	// Per type: rate, loads, comp, stamp, and the shared type list.
+	bytes += int64(len(s.size)) * (4*8 + 4)
 	for c := range s.classes {
 		st := &s.classes[c]
 		// frac, A, sqrtA and order, plus cols and g where the class owns

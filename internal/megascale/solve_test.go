@@ -172,10 +172,13 @@ func TestSolveFromUnequalStartMatchesDense(t *testing.T) {
 	cs, userToClass := megascale.FromSystem(sys)
 	dense := game.ProportionalProfile(sys)
 	dense[1] = game.Strategy{0.2, 0.1, 0.3, 0.3, 0.1}
-	start := megascale.NewClassProfile(cs)
+	rows := make([][]float64, cs.ClassCount())
 	for i, c := range userToClass {
-		_, vals := start.Row(c)
-		copy(vals, dense[i])
+		rows[c] = dense[i]
+	}
+	start, err := megascale.NewClassProfile(cs, rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want, errDense := core.SolveFrom(sys, dense, core.Options{})
 	res, errClass := megascale.SolveFrom(cs, start, megascale.Options{})

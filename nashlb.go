@@ -203,7 +203,8 @@ type UserClass = megascale.Class
 // populations: the solve cost depends on the number of classes, not users.
 type ClassSystem = megascale.ClassSystem
 
-// ClassProfile is a sparse (CSR) strategy profile with one row per class.
+// ClassProfile is a strategy profile with one row per class, stored per
+// machine type: one fraction per (class, type) plus the machine → type map.
 type ClassProfile = megascale.ClassProfile
 
 // ClassOptions configures SolveNashClasses.
