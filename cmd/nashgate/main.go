@@ -16,8 +16,7 @@
 // the surviving capacity is infeasible:
 //
 //	[-probe 250ms] [-breaker-failures 3] [-breaker-cooldown 1s] \
-//	[-ramp-steps 3] [-degraded-rho 0.9] [-retry-budget 0.1] \
-//	[-hedge-after 0]
+//	[-ramp-steps 3] [-degraded-rho 0.9] [-retry-budget 0.1]
 //
 // Endpoints: /submit?user=i (or X-User header) serves one request;
 // /metrics is the text exposition; /routing reports the live profile;
@@ -100,7 +99,6 @@ func main() {
 		rampFlag     = flag.Int("ramp-steps", 3, "gateway: health epochs over which a recovered backend re-admits")
 		degradedFlag = flag.Float64("degraded-rho", 0.9, "gateway: admitted utilization while shedding in degraded mode")
 		budgetFlag   = flag.Float64("retry-budget", 0.1, "gateway: retry budget as a fraction of requests (negative disables)")
-		hedgeFlag    = flag.Duration("hedge-after", 0, "gateway: hedge slow requests to a second backend after this delay (0 disables)")
 		idleFlag     = flag.Int("max-idle-per-host", 0, "gateway: idle connections kept per backend (0 = default 512)")
 		rateFlag     = flag.Float64("rate", 0, "backend: service rate mu (jobs/s)")
 		queueCapFlag = flag.Int("queue-cap", serve.DefaultQueueCap, "backend: jobs-in-system bound")
@@ -156,7 +154,6 @@ func main() {
 				RampSteps:   *rampFlag,
 				DegradedRho: *degradedFlag,
 				RetryBudget: *budgetFlag,
-				HedgeAfter:  *hedgeFlag,
 				Addr:        *listenFlag,
 			},
 		})
@@ -182,7 +179,6 @@ func main() {
 		ramp:     *rampFlag,
 		degraded: *degradedFlag,
 		budget:   *budgetFlag,
-		hedge:    *hedgeFlag,
 		maxIdle:  *idleFlag,
 	})
 }
@@ -218,7 +214,7 @@ type gatewayArgs struct {
 	alpha, fill, burst                         float64
 	timeout                                    time.Duration
 	retries                                    int
-	probe, cooldown, hedge                     time.Duration
+	probe, cooldown                            time.Duration
 	failures, ramp                             int
 	degraded, budget                           float64
 	maxIdle                                    int
@@ -288,7 +284,6 @@ func runGateway(a gatewayArgs) {
 		RampSteps:   a.ramp,
 		DegradedRho: a.degraded,
 		RetryBudget: a.budget,
-		HedgeAfter:  a.hedge,
 
 		MaxIdleConnsPerHost: a.maxIdle,
 

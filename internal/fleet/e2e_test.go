@@ -8,6 +8,7 @@ import (
 	"nashlb/internal/core"
 	"nashlb/internal/game"
 	"nashlb/internal/serve"
+	"nashlb/internal/testutil"
 )
 
 // The serve-package e2e system: one backend per Table-1 speed class, scaled
@@ -131,25 +132,19 @@ func TestFleetLeaderKillE2E(t *testing.T) {
 		time.Sleep(killAt)
 		killedAt := time.Now()
 		cr.killErr = nodes[0].Kill()
-		// Poll (no t.Fatal off the test goroutine) until both survivors
-		// agree on the new leader and carry an epoch >= 2 table.
-		deadline := killedAt.Add(3 * time.Second)
-		for time.Now().Before(deadline) {
-			ok := true
+		// Wait until both survivors agree on the new leader and carry an
+		// epoch >= 2 table, at most 3 s after the kill. This runs off the
+		// test goroutine, so it records the outcome where testutil.WaitFor
+		// would call t.Fatal.
+		cr.recovered = testutil.Eventually(time.Until(killedAt.Add(3*time.Second)), func() bool {
 			for _, n := range nodes[1:] {
-				e, _ := n.TableEpoch()
-				if n.Leader() != 1 || e < 2 {
-					ok = false
-					break
+				if e, _ := n.TableEpoch(); n.Leader() != 1 || e < 2 {
+					return false
 				}
 			}
-			if ok {
-				cr.recovered = true
-				cr.recoverIn = time.Since(killedAt)
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+			return true
+		})
+		cr.recoverIn = time.Since(killedAt)
 		time.Sleep(settle)
 		cr.baseline = survivorCounts()
 		chaosDone <- cr

@@ -14,11 +14,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nashlb/internal/core"
 	"nashlb/internal/dist"
 	"nashlb/internal/fleet/audit"
 	"nashlb/internal/game"
-	"nashlb/internal/megascale"
 	"nashlb/internal/rng"
 	"nashlb/internal/serve"
 )
@@ -90,17 +88,11 @@ type Config struct {
 	Trace *audit.Trace
 }
 
-// fleetSaturationRho mirrors the serve-layer saturation threshold: offered
-// load at or above this fraction of active capacity triggers degraded-mode
-// admission in the solved table.
-const fleetSaturationRho = 0.95
-
 // Node is one fleet replica: it serves traffic through its gateway from the
 // first request, probes its peers, takes over solving when it is the lowest
 // alive ID, and otherwise applies whatever fenced tables the leader pushes.
 type Node struct {
 	cfg    Config
-	rho    float64 // degraded-mode utilization ceiling
 	gw     *serve.Gateway
 	ln     net.Listener
 	srv    *http.Server
@@ -205,18 +197,12 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	rho := cfg.Gateway.DegradedRho
-	if rho <= 0 || rho >= 1 {
-		rho = 0.9
-	}
-
 	if cfg.Quorum < 0 {
 		return nil, fmt.Errorf("fleet: negative quorum %d", cfg.Quorum)
 	}
 
 	n := &Node{
 		cfg:      cfg,
-		rho:      rho,
 		quit:     make(chan struct{}),
 		kick:     make(chan struct{}, 1),
 		leader:   -1,
@@ -402,16 +388,10 @@ func (n *Node) Start(peers []string) error {
 		// Seed routing with the nominal full-game equilibrium at (epoch 0,
 		// version 1): identical on every replica (the solver is
 		// deterministic), superseded by the first elected leader's table.
-		profile, admitFrac := solveFleet(n.cfg.Machines, n.active, nil, n.cfg.Arrivals, n.rho)
-		if profile != nil {
-			offered := sum(n.cfg.Arrivals)
-			_ = n.installAndCommit(serve.Table{
-				Epoch: 0, Version: 1,
-				Profile:     profile,
-				Active:      append([]bool(nil), n.active...),
-				AdmitFrac:   admitFrac,
-				OfferedRate: offered / float64(len(peers)),
-			}, -1)
+		if t, err := n.gw.SolveTable(n.cfg.Arrivals, nil, n.active); err == nil {
+			t.Version = 1
+			t.OfferedRate /= float64(len(peers))
+			_ = n.installAndCommit(t, -1)
 		}
 	}
 
@@ -830,6 +810,13 @@ type countSample struct {
 // EstimateWindow ago (a ring of past readings), so one sample already
 // averages over enough arrivals to mean something; the EWMA then tracks
 // shifts, such as a dead peer's share failing over to this gateway.
+//
+// Only the node's run goroutine calls it, and Start sets the estimator state
+// before run starts, so the clock readings reach samples and lastEstAt in
+// the order they were taken and lastEstAt only moves forward: a reading
+// older than the last one stored, the interleaving behind the admission
+// bucket's late-timestamp bug, cannot happen here. n.mu guards the state
+// against the report and status readers, not against a second writer.
 func (n *Node) updateEstimates() {
 	now := time.Now()
 	counts := n.gw.AdmittedPerUser()
@@ -1036,8 +1023,8 @@ func (n *Node) solveAndDistribute() {
 		n.mu.Unlock()
 	}
 
-	profile, admitFrac := solveFleet(n.cfg.Machines, active, weights, agg, n.rho)
-	if profile == nil {
+	st, err := n.gw.SolveTable(agg, weights, active)
+	if err != nil {
 		n.solveFail.Add(1)
 		return // infeasible this epoch; replicas keep their last table
 	}
@@ -1055,19 +1042,19 @@ func (n *Node) solveAndDistribute() {
 	// as does any change in the reachable-replica set (a recovered peer
 	// needs its table now, not at the next content change); the anti-entropy
 	// clock re-pushes even an unchanged table every few epochs.
-	healthy := admitFrac <= 0 || admitFrac >= 1
+	healthy := st.AdmitFrac <= 0 || st.AdmitFrac >= 1
 	unchanged := healthy && epoch == n.lastDistEpoch &&
-		admitFrac == n.lastAdmitFrac && profile.Equal(n.lastProfile) &&
+		st.AdmitFrac == n.lastAdmitFrac && st.Profile.Equal(n.lastProfile) &&
 		boolsEqual(active, n.lastActive) && boolsEqual(alive, n.lastAlive)
 	if unchanged && time.Since(n.lastDistAt) < antiEntropyEvery*n.cfg.SolveEvery {
 		n.distSkips.Add(1)
 		return
 	}
 	n.lastDistEpoch = epoch
-	n.lastProfile = profile
+	n.lastProfile = st.Profile
 	n.lastActive = append(n.lastActive[:0], active...)
 	n.lastAlive = append(n.lastAlive[:0], alive...)
-	n.lastAdmitFrac = admitFrac
+	n.lastAdmitFrac = st.AdmitFrac
 	n.lastDistAt = time.Now()
 
 	n.mu.Lock()
@@ -1097,13 +1084,8 @@ func (n *Node) solveAndDistribute() {
 
 	// Install locally first: if even our own gateway fences us out, a newer
 	// reign exists and stepping down beats spraying stale tables.
-	err := n.installAndCommit(serve.Table{
-		Epoch: epoch, Version: version,
-		Profile:     profile,
-		Active:      append([]bool(nil), active...),
-		AdmitFrac:   admitFrac,
-		OfferedRate: offeredBy[n.cfg.ID],
-	}, n.cfg.ID)
+	st.Epoch, st.Version, st.OfferedRate = epoch, version, offeredBy[n.cfg.ID]
+	err = n.installAndCommit(st, n.cfg.ID)
 	if errors.Is(err, serve.ErrStaleTable) {
 		n.stepDown(0)
 		return
@@ -1114,8 +1096,8 @@ func (n *Node) solveAndDistribute() {
 
 	t := Table{
 		Epoch: epoch, Version: version, Leader: n.cfg.ID,
-		Machines: machines, Arrivals: agg, AdmitFrac: admitFrac,
-		Profile: profile,
+		Machines: machines, Arrivals: agg, AdmitFrac: st.AdmitFrac,
+		Profile: st.Profile,
 	}
 	for i, url := range peers {
 		if url == "" || !alive[i] || !n.linkUp(i) {
@@ -1277,65 +1259,6 @@ func (n *Node) renderMetrics(b *strings.Builder) {
 	w("# HELP fleet_quorum_ok Whether this node currently heartbeats a strict majority (1) or is in degraded minority mode (0).\n")
 	w("# TYPE fleet_quorum_ok gauge\n")
 	w("fleet_quorum_ok %d\n", quorumOK)
-}
-
-// solveFleet solves the aggregate game over the active machines at their
-// health-weighted capacities, returning an n-wide profile (zero columns on
-// inactive or cut-off machines) and the admit fraction: 1 when the offered
-// load is feasible, DegradedRho×capacity/offered when the fleet must shed.
-// It returns a nil profile when no capacity is active or the solver fails.
-func solveFleet(machines []Machine, active []bool, weights []float64, arrivals []float64, rho float64) (game.Profile, float64) {
-	n := len(machines)
-	muEff := make([]float64, n)
-	var capEff float64
-	for j := range machines {
-		w := 1.0
-		if weights != nil {
-			w = weights[j]
-		}
-		if active[j] {
-			muEff[j] = machines[j].Rate * w
-		}
-		capEff += muEff[j]
-	}
-	if capEff <= 0 {
-		return nil, 0
-	}
-	offered := sum(arrivals)
-	admitFrac := 1.0
-	if offered >= capEff*fleetSaturationRho {
-		admitFrac = rho * capEff / offered
-	}
-
-	var idx []int
-	var rates []float64
-	for j, mu := range muEff {
-		if mu > 0 {
-			idx = append(idx, j)
-			rates = append(rates, mu)
-		}
-	}
-	scaled := make([]float64, len(arrivals))
-	for i, phi := range arrivals {
-		scaled[i] = phi * admitFrac
-	}
-	sysR, err := game.NewSystem(rates, scaled)
-	if err != nil {
-		return nil, admitFrac
-	}
-	// Class-aggregated solve: the leader's cost per re-equilibration scales
-	// with the number of distinct arrival rates, not the population size.
-	res, err := megascale.SolveSystem(sysR, core.Options{Init: core.InitProportional})
-	if err != nil || !res.Converged {
-		return nil, admitFrac
-	}
-	profile := game.NewProfile(len(arrivals), n)
-	for i := range res.Profile {
-		for k, j := range idx {
-			profile[i][j] = res.Profile[i][k]
-		}
-	}
-	return profile, admitFrac
 }
 
 func boolsEqual(a, b []bool) bool {

@@ -250,14 +250,14 @@ func TestFleetLeaderFailoverAndFencing(t *testing.T) {
 	// Split-brain guard: a table from the deposed epoch must be rejected
 	// with 409 and the current fence mark.
 	machines := nodes[2].Machines()
-	profile, admitFrac := solveFleet(machines, []bool{true, true}, nil, []float64{3, 2}, 0.9)
-	if profile == nil {
-		t.Fatal("solveFleet failed on the test system")
+	solved, err := nodes[2].Gateway().SolveTable([]float64{3, 2}, nil, []bool{true, true})
+	if err != nil {
+		t.Fatalf("SolveTable failed on the test system: %v", err)
 	}
 	stale := Table{
 		Epoch: 1, Version: 999, Leader: 0,
 		Machines: machines, Arrivals: []float64{3, 2},
-		AdmitFrac: admitFrac, Profile: profile,
+		AdmitFrac: solved.AdmitFrac, Profile: solved.Profile,
 	}
 	data, err := EncodeTable(stale)
 	if err != nil {

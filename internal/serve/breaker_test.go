@@ -358,3 +358,36 @@ func TestReequilibrateCountsSolveFailures(t *testing.T) {
 		t.Fatalf("a feasible re-solve counted as a failure: %d", got)
 	}
 }
+
+// TestReequilibrateAfterCloseInstallsNothing checks the install path's
+// refusal once Close has begun: a health re-solve after Close changes
+// neither the routing table nor the degraded-mode admission. With one of
+// two 50/s machines cut off, the 60/s offered load would shed.
+func TestReequilibrateAfterCloseInstallsNothing(t *testing.T) {
+	g, err := NewGateway(GatewayConfig{
+		Backends:   []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		Rates:      []float64{50, 50},
+		Arrivals:   []float64{30, 30},
+		ProbeEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	before := g.Profile()
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g.reequilibrate([]float64{1, 0})
+	if !g.Profile().Equal(before) {
+		t.Fatalf("profile after Close %v, want %v", g.Profile(), before)
+	}
+	if g.Degraded() {
+		t.Fatal("a closed gateway entered degraded mode")
+	}
+	if n := g.Metrics().Reequilibrations; n != 0 {
+		t.Fatalf("reequilibrations %d after Close, want 0", n)
+	}
+}

@@ -16,11 +16,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nashlb/internal/core"
 	"nashlb/internal/dist"
 	"nashlb/internal/estimate"
 	"nashlb/internal/game"
-	"nashlb/internal/megascale"
 	"nashlb/internal/online"
 	"nashlb/internal/rng"
 )
@@ -74,12 +72,6 @@ type GatewayConfig struct {
 	// multiplying the overload. Default 0.1; negative disables the budget
 	// (retries limited only by Retries).
 	RetryBudget float64
-	// HedgeAfter, when positive, fires a hedge request to the caller's
-	// second-best backend if the primary has not answered within this
-	// duration; the first successful answer wins. Tail-latency insurance —
-	// size it near the response-time p95 so only the slowest percentile
-	// pays the duplicate. Zero disables hedging.
-	HedgeAfter time.Duration
 
 	// ProbeEvery enables the backend health layer: every tick each backend
 	// is actively probed on /healthz, probe and request outcomes feed a
@@ -218,7 +210,6 @@ type Gateway struct {
 	// precomputed last-resort fallback when a user's whole row is dead.
 	rateOrder []int32
 	scratch   sync.Pool // *fwdScratch
-	balancer  *online.Balancer
 	policy    func(now float64, queueLens []int, current game.Profile) game.Profile
 	sys       *game.System
 	est       estimate.RunQueue
@@ -236,7 +227,8 @@ type Gateway struct {
 	// while in-flight work finishes, and the fence orders InstallTable
 	// against superseded leaders. ctrlDegraded marks a degraded control
 	// plane (fleet quorum lost): the gateway keeps serving its last table
-	// but no fresh equilibria are coming until the fleet heals.
+	// but no fresh equilibria are coming until the fleet heals. installMu
+	// serializes every swap of table, shed and drained (installLocked).
 	drained      []atomic.Bool
 	draining     atomic.Bool
 	ctrlDegraded atomic.Bool
@@ -390,7 +382,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			cancel()
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		g.balancer = bal
 		g.policy = bal.Policy(cfg.PollEvery.Seconds(), cfg.UpdateEvery).Do
 	}
 	if cfg.ProbeEvery > 0 {
@@ -475,12 +466,7 @@ func (g *Gateway) Metrics() *Snapshot {
 		}
 		s.Weights = g.health.weights()
 	}
-	if sh := g.shed.Load(); sh != nil {
-		s.Degraded = true
-		s.AdmitFraction = sh.AdmitFrac
-	} else {
-		s.AdmitFraction = 1
-	}
+	s.AdmitFraction, s.Degraded = g.admission()
 	return s
 }
 
@@ -490,6 +476,15 @@ func (g *Gateway) Saturated() bool { return g.satur.Load() }
 
 // Degraded reports whether degraded-mode admission shedding is active.
 func (g *Gateway) Degraded() bool { return g.shed.Load() != nil }
+
+// admission returns the degraded-mode admitted fraction of the offered load
+// (1 when not degraded) and whether shedding is active.
+func (g *Gateway) admission() (frac float64, degraded bool) {
+	if sh := g.shed.Load(); sh != nil {
+		return sh.AdmitFrac, true
+	}
+	return 1, false
+}
 
 // SetControlDegraded flags (or clears) control-plane degradation: the fleet
 // node behind this gateway lost (or regained) its quorum. The gateway keeps
@@ -619,24 +614,24 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	res := g.dispatch(r.Context(), user, backend)
+	reply, err := g.forward(r.Context(), backend)
 	elapsed := time.Since(start)
 	switch {
-	case res.err != nil:
-		g.met.backendErrors[res.backend].Add(1)
-		http.Error(w, fmt.Sprintf("backend %d: %v", res.backend, res.err), http.StatusBadGateway)
+	case err != nil:
+		g.met.backendErrors[backend].Add(1)
+		http.Error(w, fmt.Sprintf("backend %d: %v", backend, err), http.StatusBadGateway)
 		return
-	case res.reply.Status == statusQueueFull, res.reply.Status == statusClosing:
-		g.met.backendRejects[res.backend].Add(1)
-		http.Error(w, fmt.Sprintf("backend %d %s", res.backend, res.reply.Status), http.StatusServiceUnavailable)
+	case reply.Status == statusQueueFull, reply.Status == statusClosing:
+		g.met.backendRejects[backend].Add(1)
+		http.Error(w, fmt.Sprintf("backend %d %s", backend, reply.Status), http.StatusServiceUnavailable)
 		return
-	case res.reply.Status != statusOK:
-		g.met.backendErrors[res.backend].Add(1)
-		http.Error(w, fmt.Sprintf("backend %d %s", res.backend, res.reply.Status), http.StatusBadGateway)
+	case reply.Status != statusOK:
+		g.met.backendErrors[backend].Add(1)
+		http.Error(w, fmt.Sprintf("backend %d %s", backend, reply.Status), http.StatusBadGateway)
 		return
 	}
 
-	g.met.backendRequests[res.backend].Add(1)
+	g.met.backendRequests[backend].Add(1)
 	g.met.observe(user, elapsed.Seconds())
 
 	// The response JSON is appended into pooled scratch, so the gateway's
@@ -645,7 +640,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	sc := g.scratch.Get().(*fwdScratch)
 	defer g.scratch.Put(sc)
 	w.Header().Set("Content-Type", "application/json")
-	sc.out = appendSubmitResponse(sc.out[:0], user, res.backend, res.reply.Service, elapsed.Seconds())
+	sc.out = appendSubmitResponse(sc.out[:0], user, backend, reply.Service, elapsed.Seconds())
 	_, _ = w.Write(sc.out)
 }
 
@@ -688,87 +683,6 @@ func (g *Gateway) pickBackend(user int) (int, bool) {
 		}
 	}
 	return -1, false
-}
-
-// hedgeTarget returns the backend for a tail hedge: the caller's
-// second-preferred routable machine by routed weight (falling back to the
-// fastest routable machine), or -1 when there is no alternative. Both
-// preference orders are pre-resolved at table install.
-func (g *Gateway) hedgeTarget(user, primary int) int {
-	table := g.table.Load()
-	for _, j := range table.fallback[table.classOf[user]] {
-		if int(j) != primary && g.routable(int(j)) {
-			return int(j)
-		}
-	}
-	for _, j := range g.rateOrder {
-		if int(j) != primary && g.routable(int(j)) {
-			return int(j)
-		}
-	}
-	return -1
-}
-
-// fwdResult is one dispatch outcome, tagged with the backend that produced
-// it (with hedging, not necessarily the sampled primary).
-type fwdResult struct {
-	reply   workReply
-	err     error
-	backend int
-}
-
-// dispatch forwards the request, optionally hedging the tail: if the
-// primary has not answered within HedgeAfter, a duplicate goes to the
-// caller's second-best machine and the first success wins (the loser is
-// cancelled). Without hedging it is a plain forward.
-func (g *Gateway) dispatch(ctx context.Context, user, backend int) fwdResult {
-	if g.cfg.HedgeAfter <= 0 {
-		reply, err := g.forward(ctx, backend)
-		return fwdResult{reply: reply, err: err, backend: backend}
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan fwdResult, 2)
-	launch := func(j int) {
-		go func() {
-			reply, err := g.forward(hctx, j)
-			results <- fwdResult{reply: reply, err: err, backend: j}
-		}()
-	}
-	launch(backend)
-	inflight := 1
-	hedged := false
-	timer := time.NewTimer(g.cfg.HedgeAfter)
-	defer timer.Stop()
-	var first *fwdResult
-	for {
-		select {
-		case res := <-results:
-			inflight--
-			if res.err == nil && res.reply.Status == statusOK {
-				if hedged && res.backend != backend {
-					g.met.hedgeWins.Add(1)
-				}
-				return res
-			}
-			if first == nil {
-				first = &res
-			}
-			if inflight == 0 {
-				return *first
-			}
-		case <-timer.C:
-			if hedged {
-				continue
-			}
-			if h := g.hedgeTarget(user, backend); h >= 0 {
-				hedged = true
-				g.met.hedges.Add(1)
-				launch(h)
-				inflight++
-			}
-		}
-	}
 }
 
 // userID extracts the requesting user from the X-User header or ?user=
@@ -849,7 +763,7 @@ func (g *Gateway) forward(ctx context.Context, backend int) (workReply, error) {
 		reply, err := g.pools[backend].roundTrip(ctx, g.frameID.Add(1), deadline)
 		if err != nil {
 			if ctx.Err() != nil {
-				// Caller gone or hedge lost: no verdict on the backend.
+				// Caller gone: no verdict on the backend.
 				return workReply{}, ctx.Err()
 			}
 			g.reportHealth(backend, false, err.Error())
@@ -926,10 +840,7 @@ func (g *Gateway) renderHealth(b *strings.Builder) {
 	}
 	w("# HELP nashgate_admit_fraction Degraded-mode admitted fraction of the offered load (1 = not degraded).\n")
 	w("# TYPE nashgate_admit_fraction gauge\n")
-	admit := 1.0
-	if sh := g.shed.Load(); sh != nil {
-		admit = sh.AdmitFrac
-	}
+	admit, _ := g.admission()
 	w("nashgate_admit_fraction %g\n", admit)
 }
 
@@ -1011,17 +922,13 @@ type BackendsStatus struct {
 func (g *Gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 	st := BackendsStatus{
 		Backends:         make([]BackendStatus, len(g.cfg.Backends)),
-		AdmitFraction:    1,
 		Reequilibrations: g.met.reequils.Load(),
 		TableInstalls:    g.met.tableInstalls.Load(),
 		Draining:         g.draining.Load(),
 		FleetDegraded:    g.ctrlDegraded.Load(),
 	}
 	st.TableEpoch, st.TableVersion = g.fence.Current()
-	if sh := g.shed.Load(); sh != nil {
-		st.Degraded = true
-		st.AdmitFraction = sh.AdmitFrac
-	}
+	st.AdmitFraction, st.Degraded = g.admission()
 	var weights []float64
 	if g.health != nil {
 		weights = g.health.weights()
@@ -1093,11 +1000,16 @@ func (g *Gateway) rebalanceLoop() {
 			continue
 		}
 		table, err := newRouteTable(next, len(g.cfg.Backends))
-		if err != nil || g.closing() {
-			continue // infeasible best response or shutdown; keep routing as-is
+		if err != nil {
+			continue // infeasible best response; keep routing as-is
 		}
-		g.table.Store(table)
-		g.met.rebalances.Add(1)
+		// A best response re-routes the admitted load; the degraded-mode
+		// admission stays as installed.
+		g.installMu.Lock()
+		if g.installLocked(table, g.shed.Load(), nil) {
+			g.met.rebalances.Add(1)
+		}
+		g.installMu.Unlock()
 	}
 }
 
@@ -1218,94 +1130,45 @@ func (g *Gateway) probe(j int) (bool, string) {
 }
 
 // reequilibrate re-solves the load-balancing game over the effective
-// machine set — each backend's capacity scaled by its health weight — and
-// hot-swaps the routing table, exactly as dist.Supervise re-converges the
-// reduced game after an ejection. If the offered load is infeasible for the
-// surviving capacity it first installs degraded-mode admission (shed down
-// to DegradedRho utilization) and solves for the admitted load, so the
-// installed equilibrium is always feasible. Solver failures fall back to
-// proportional renormalization of the current profile, which at least
-// removes the dead machines.
+// machine set — each backend's capacity scaled by its health weight —
+// through SolveTable and hot-swaps the routing table, exactly as
+// dist.Supervise re-converges the reduced game after an ejection. A table
+// that sheds installs its degraded-mode admission with it, so the installed
+// equilibrium is always feasible. With every backend cut off the gateway
+// sheds everything and keeps its table (each pick fails closed with 503
+// anyway) until a trial passes. A failed solve falls back to proportional
+// renormalization of the current profile, which at least removes the dead
+// machines.
 func (g *Gateway) reequilibrate(weights []float64) {
-	n := len(g.cfg.Rates)
-	muEff := make([]float64, n)
-	alive := make([]bool, n)
-	var capEff float64
-	for j := range muEff {
-		muEff[j] = g.cfg.Rates[j] * weights[j]
-		alive[j] = weights[j] > 0
-		capEff += muEff[j]
-	}
-	offered := g.sys.TotalArrival()
-
-	if capEff <= 0 {
-		// Every backend is cut off: shed everything, keep the table (each
-		// pick fails closed with 503 anyway) and wait for a trial to pass.
-		g.shed.Store(&shedConfig{AdmitFrac: 0, RetryAfter: "1"})
-		g.met.reequils.Add(1)
-		return
-	}
-
-	admitFrac := 1.0
-	// Shed when the offered load would push the survivors to the same
-	// saturation threshold the install guard enforces; DegradedRho leaves
-	// headroom below it.
-	if offered >= capEff*saturationRho {
-		admitRate := capEff * g.cfg.DegradedRho
-		admitFrac = admitRate / offered
-		g.shed.Store(newShedConfig(admitRate, admitFrac, offered))
-	} else {
-		g.shed.Store(nil)
-	}
-
-	profile := g.solveReduced(muEff, alive, admitFrac)
-	if profile == nil {
+	t, err := g.SolveTable(g.cfg.Arrivals, weights, nil)
+	shed := shedFor(t)
+	switch {
+	case errors.Is(err, errNoCapacity):
+		shed = &shedConfig{AdmitFrac: 0, RetryAfter: "1"}
+	case err != nil:
 		g.met.solveFailures.Add(1)
-		profile = renormalizeExclude(g.Profile(), alive, muEff)
+		alive := make([]bool, len(weights))
+		muEff := make([]float64, len(weights))
+		for j, w := range weights {
+			alive[j] = w > 0
+			muEff[j] = g.cfg.Rates[j] * w
+		}
+		t.Profile = renormalizeExclude(g.Profile(), alive, muEff)
 	}
-	table, err := newRouteTable(profile, n)
-	if err != nil || g.closing() {
-		return
-	}
-	g.table.Store(table)
-	g.met.reequils.Add(1)
-}
-
-// solveReduced solves the Nash game over the live machines at their
-// effective (ramp-scaled) capacities for the admitted load, and expands the
-// result back to an n-column profile with zeros on dead machines. It
-// returns nil when the reduced game is infeasible or the solver fails.
-func (g *Gateway) solveReduced(muEff []float64, alive []bool, admitFrac float64) game.Profile {
-	var idx []int
-	var rates []float64
-	for j, a := range alive {
-		if a {
-			idx = append(idx, j)
-			rates = append(rates, muEff[j])
+	var table *routeTable
+	if t.Profile != nil {
+		if table, err = newRouteTable(t.Profile, len(g.cfg.Rates)); err != nil {
+			return
 		}
 	}
-	arrivals := make([]float64, len(g.cfg.Arrivals))
-	for i, phi := range g.cfg.Arrivals {
-		arrivals[i] = phi * admitFrac
+	g.installMu.Lock()
+	defer g.installMu.Unlock()
+	if table == nil {
+		table = g.table.Load()
 	}
-	sysR, err := game.NewSystem(rates, arrivals)
-	if err != nil {
-		return nil
+	if g.installLocked(table, shed, nil) {
+		g.met.reequils.Add(1)
 	}
-	// The class-aggregated engine solves one water-filling pass per user
-	// class instead of per user, so re-equilibration cost stays flat as the
-	// population grows.
-	res, err := megascale.SolveSystem(sysR, core.Options{Init: core.InitProportional})
-	if err != nil || !res.Converged {
-		return nil
-	}
-	profile := game.NewProfile(len(arrivals), len(muEff))
-	for i := range res.Profile {
-		for k, j := range idx {
-			profile[i][j] = res.Profile[i][k]
-		}
-	}
-	return profile
 }
 
 // installable guards routing-table installs: unlike the users' best

@@ -62,8 +62,6 @@ type gatewayMetrics struct {
 	breakerOpens    atomic.Int64 // breaker trips to open
 	solveFailures   atomic.Int64 // re-solves that fell back to renormalizing
 	retryDenied     atomic.Int64 // retries refused by the retry budget
-	hedges          atomic.Int64 // hedge requests launched
-	hedgeWins       atomic.Int64 // hedges that answered first
 
 	shards    []metricShard
 	shardPool sync.Pool     // *metricShard, handed out with per-P affinity
@@ -194,11 +192,8 @@ type Snapshot struct {
 	TableInstalls    int64
 	BreakerOpens     int64
 	SolveFailures    int64
-	// RetryDenied counts retries the budget refused; Hedges/HedgeWins count
-	// tail hedges launched and hedges that answered first.
+	// RetryDenied counts retries the budget refused.
 	RetryDenied int64
-	Hedges      int64
-	HedgeWins   int64
 	// BreakerStates and Weights hold the health layer's per-backend view
 	// (nil when the layer is disabled); Degraded and AdmitFraction describe
 	// degraded-mode admission.
@@ -239,8 +234,6 @@ func (m *gatewayMetrics) snapshot() *Snapshot {
 		BreakerOpens:     m.breakerOpens.Load(),
 		SolveFailures:    m.solveFailures.Load(),
 		RetryDenied:      m.retryDenied.Load(),
-		Hedges:           m.hedges.Load(),
-		HedgeWins:        m.hedgeWins.Load(),
 	}
 	for j := range s.BackendRequests {
 		s.BackendRequests[j] = m.backendRequests[j].Load()
@@ -331,10 +324,6 @@ func (m *gatewayMetrics) render(b *strings.Builder) {
 	w("# HELP nashgate_retry_denied_total Retries refused by the retry budget.\n")
 	w("# TYPE nashgate_retry_denied_total counter\n")
 	w("nashgate_retry_denied_total %d\n", m.retryDenied.Load())
-	w("# HELP nashgate_hedges_total Tail-hedge requests launched and won.\n")
-	w("# TYPE nashgate_hedges_total counter\n")
-	w("nashgate_hedges_total{outcome=%q} %d\n", "launched", m.hedges.Load())
-	w("nashgate_hedges_total{outcome=%q} %d\n", "won", m.hedgeWins.Load())
 
 	w("# HELP nashgate_response_seconds Gateway-side response time per user.\n")
 	w("# TYPE nashgate_response_seconds histogram\n")

@@ -7,16 +7,16 @@ import (
 )
 
 // shedConfig is the immutable degraded-mode admission state installed
-// atomically by re-equilibration: when the surviving capacity cannot
-// feasibly carry the offered load (rho >= DegradedRho), the gateway admits
-// only AdmitRate requests/second through its own token bucket and sheds the
-// rest with 503 + Retry-After, keeping the survivors' utilization strictly
-// below one instead of letting their queues diverge.
+// atomically with a routing table: when the surviving capacity cannot
+// feasibly carry the offered load (offered >= saturationRho × capacity),
+// the gateway admits only AdmitRate requests/second through its own token
+// bucket and sheds the rest with 503 + Retry-After, keeping the survivors'
+// utilization strictly below one instead of letting their queues diverge.
 type shedConfig struct {
 	// AdmitFrac is the admitted fraction of the offered load in [0, 1].
 	AdmitFrac float64
-	// AdmitRate is the admitted request rate (DegradedRho * surviving
-	// capacity), the bucket's fill rate.
+	// AdmitRate is the admitted request rate, AdmitFrac × the offered rate
+	// (DegradedRho × the surviving capacity), the bucket's fill rate.
 	AdmitRate float64
 	// RetryAfter is the advisory Retry-After value in whole seconds.
 	RetryAfter string

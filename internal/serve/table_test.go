@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,6 +45,43 @@ func TestInstallTableFencing(t *testing.T) {
 	}
 	if e, v := g.TableEpoch(); e != 3 || v != 1 {
 		t.Fatalf("fence at (%d, %d), want (3, 1)", e, v)
+	}
+}
+
+// TestInstallsDoNotInterleave races a control-plane install against a
+// health re-solve, round after round. Whichever lands last, the route table
+// and the degraded-mode admission must come from the same install: the
+// control table puts everything on backend 0 and sheds, the re-solve over
+// both 50/s machines splits the 60/s load and does not.
+func TestInstallsDoNotInterleave(t *testing.T) {
+	g, err := NewGateway(GatewayConfig{
+		Backends:   []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		Rates:      []float64{50, 50},
+		Arrivals:   []float64{30, 30},
+		ProbeEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := Table{Epoch: 1, Profile: game.Profile{{1, 0}, {1, 0}}, AdmitFrac: 0.5, OfferedRate: 60}
+	for round := 1; round <= 300; round++ {
+		ctrl.Version = uint64(round)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := g.InstallTable(ctrl); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			g.reequilibrate([]float64{1, 1})
+		}()
+		wg.Wait()
+		if fromCtrl := g.Profile()[0][1] == 0; fromCtrl != g.Degraded() {
+			t.Fatalf("round %d: profile %v with degraded %v", round, g.Profile(), g.Degraded())
+		}
 	}
 }
 

@@ -1,12 +1,12 @@
 #!/bin/sh
-# Full verification: the tier-1 gate (build + tests) plus static analysis
-# (go vet, and gofmt listing no file) and the race detector over the
-# concurrent packages (the distributed ring with its fault-tolerance layer,
-# the online balancer, the live HTTP serving stack, and the gateway-fleet
-# control plane — including the self-healing chaos tests in internal/serve
-# and the leader-failover tests in internal/fleet; the long crash/recovery
-# e2e runs gate themselves behind -short), the scheduling-sensitive ones at
-# 1, 2 and 4 GOMAXPROCS.
+# Full verification: the tier-1 gate (build + tests), the benchmark module's
+# vet and tests, static analysis (go vet, and gofmt listing no file) and the
+# race detector over the concurrent packages (the distributed ring with its
+# fault-tolerance layer, the online balancer, the live HTTP serving stack,
+# and the gateway-fleet control plane — including the self-healing chaos
+# tests in internal/serve and the leader-failover tests in internal/fleet;
+# the long crash/recovery e2e runs gate themselves behind -short), the
+# scheduling-sensitive ones at 1, 2 and 4 GOMAXPROCS.
 set -eu
 
 cd "$(dirname "$0")"
@@ -27,6 +27,13 @@ fi
 
 echo "== go test ./..."
 go test ./...
+
+# The benchmark module: nashbench is a Go module of its own, so the steps
+# above never compile it. Vetting and testing it here makes a root-API
+# change that breaks the benchmark fail verification, not the benchmark run.
+echo "== go -C nashbench vet . && go -C nashbench test ."
+go -C nashbench vet .
+go -C nashbench test .
 
 echo "== go test -race ./internal/online/... ./internal/replicate/... ./internal/cluster/..."
 go test -race ./internal/online/... ./internal/replicate/... ./internal/cluster/...
