@@ -5,7 +5,8 @@
 // EXT8-EXT10 and EXT12 serve real HTTP traffic through the nashgate gateway
 // (EXT10 and EXT12 through a whole gateway fleet) and so take their live
 // windows in wall-clock time; -benchjson additionally writes their results
-// in machine-readable form (BENCH_serve.json).
+// in machine-readable form (BENCH_serve.json). The command exits 1, after
+// writing its output, when an EXT12 cell reports a safety-audit violation.
 //
 // Usage:
 //
@@ -59,7 +60,9 @@ func main() {
 	all := want["all"]
 	selected := func(name string) bool { return all || want[name] }
 
+	ran := 0 // artifacts emitted
 	emit := func(name string, t *report.Table) {
+		ran++
 		fmt.Println(t.String())
 		if *csvFlag != "" {
 			if err := os.MkdirAll(*csvFlag, 0o755); err != nil {
@@ -73,10 +76,8 @@ func main() {
 		}
 	}
 
-	ran := 0
 	if selected("tab1") {
 		emit("table1", experiments.Table1())
-		ran++
 	}
 	if selected("fig2") {
 		res, err := experiments.Fig2(*utilFlag, 1e-6)
@@ -85,7 +86,6 @@ func main() {
 		}
 		emit("fig2_norm_vs_iteration", res.Table())
 		plotIf(*plotFlag, res)
-		ran++
 	}
 	if selected("fig3") {
 		res, err := experiments.Fig3(*utilFlag, 1e-4)
@@ -94,7 +94,6 @@ func main() {
 		}
 		emit("fig3_iterations_vs_users", res.Table())
 		plotIf(*plotFlag, res)
-		ran++
 	}
 	if selected("fig4") {
 		res, err := experiments.Fig4(params, *simFlag)
@@ -103,7 +102,6 @@ func main() {
 		}
 		emit("fig4_utilization_sweep", res.Table())
 		plotIf(*plotFlag, res)
-		ran++
 	}
 	if selected("fig5") {
 		res, err := experiments.Fig5(*utilFlag, params, *simFlag)
@@ -111,7 +109,6 @@ func main() {
 			log.Fatalf("fig5: %v", err)
 		}
 		emit("fig5_per_user", res.Table())
-		ran++
 	}
 	if selected("fig6") {
 		res, err := experiments.Fig6(*utilFlag, nil, params, *simFlag)
@@ -120,7 +117,6 @@ func main() {
 		}
 		emit("fig6_heterogeneity", res.Table())
 		plotIf(*plotFlag, res)
-		ran++
 	}
 	if selected("abl1") {
 		res, err := experiments.Abl1(*utilFlag)
@@ -128,7 +124,6 @@ func main() {
 			log.Fatalf("abl1: %v", err)
 		}
 		emit("abl1_initialization", res.Table())
-		ran++
 	}
 	if selected("abl2") {
 		res, err := experiments.Abl2(*utilFlag)
@@ -136,7 +131,6 @@ func main() {
 			log.Fatalf("abl2: %v", err)
 		}
 		emit("abl2_wardrop_solvers", res.Table())
-		ran++
 	}
 	if selected("abl3") {
 		res, err := experiments.Abl3()
@@ -144,7 +138,6 @@ func main() {
 			log.Fatalf("abl3: %v", err)
 		}
 		emit("abl3_gos_assignment", res.Table())
-		ran++
 	}
 	if selected("abl4") {
 		res, err := experiments.Abl4(*utilFlag)
@@ -152,7 +145,6 @@ func main() {
 			log.Fatalf("abl4: %v", err)
 		}
 		emit("abl4_execution_modes", res.Table())
-		ran++
 	}
 	if selected("abl5") {
 		res, err := experiments.Abl5(*utilFlag, params.Seed)
@@ -160,7 +152,6 @@ func main() {
 			log.Fatalf("abl5: %v", err)
 		}
 		emit("abl5_rate_estimation", res.Table())
-		ran++
 	}
 	if selected("abl6") {
 		res, err := experiments.Abl6(*utilFlag)
@@ -168,7 +159,6 @@ func main() {
 			log.Fatalf("abl6: %v", err)
 		}
 		emit("abl6_update_order", res.Table())
-		ran++
 	}
 	if selected("ext1") {
 		res, err := experiments.Ext1()
@@ -176,7 +166,6 @@ func main() {
 			log.Fatalf("ext1: %v", err)
 		}
 		emit("ext1_price_of_anarchy", res.Table())
-		ran++
 	}
 	if selected("ext2") {
 		res, err := experiments.Ext2(*utilFlag, params)
@@ -184,7 +173,6 @@ func main() {
 			log.Fatalf("ext2: %v", err)
 		}
 		emit("ext2_burstiness", res.Table())
-		ran++
 	}
 	if selected("ext3") {
 		res, err := experiments.Ext3(*utilFlag, params)
@@ -192,7 +180,6 @@ func main() {
 			log.Fatalf("ext3: %v", err)
 		}
 		emit("ext3_service_variability", res.Table())
-		ran++
 	}
 	if selected("ext4") {
 		res, err := experiments.Ext4(*utilFlag)
@@ -200,7 +187,6 @@ func main() {
 			log.Fatalf("ext4: %v", err)
 		}
 		emit("ext4_scalability", res.Table())
-		ran++
 	}
 	if selected("ext5") {
 		res, err := experiments.Ext5(*utilFlag, 2400, params.Seed)
@@ -208,7 +194,6 @@ func main() {
 			log.Fatalf("ext5: %v", err)
 		}
 		emit("ext5_online_rebalancing", res.Table())
-		ran++
 	}
 	if selected("ext6") {
 		res, err := experiments.Ext6(*utilFlag, params)
@@ -216,7 +201,6 @@ func main() {
 			log.Fatalf("ext6: %v", err)
 		}
 		emit("ext6_static_vs_dynamic", res.Table())
-		ran++
 	}
 	if selected("ext7") {
 		res, err := experiments.Ext7(*utilFlag, params.Seed, *quickFlag)
@@ -224,7 +208,6 @@ func main() {
 			log.Fatalf("ext7: %v", err)
 		}
 		emit("ext7_fault_tolerance", res.Table())
-		ran++
 	}
 	// The serving experiments share the BENCH_serve.json document:
 	// -benchjson implies all of them and writes the combined result.
@@ -239,7 +222,6 @@ func main() {
 		}
 		emit("ext8_live_serving", res.Table())
 		ext8Res = res
-		ran++
 	}
 	if selected("ext9") || *benchFlag != "" {
 		res, err := experiments.Ext9(params.Seed, *quickFlag)
@@ -248,7 +230,6 @@ func main() {
 		}
 		emit("ext9_self_healing", res.Table())
 		ext9Res = res
-		ran++
 	}
 	if selected("ext10") || *benchFlag != "" {
 		res, err := experiments.Ext10(params.Seed, *quickFlag)
@@ -257,7 +238,6 @@ func main() {
 		}
 		emit("ext10_fleet", res.Table())
 		ext10Res = res
-		ran++
 	}
 	if selected("ext12") || *benchFlag != "" {
 		res, err := experiments.Ext12(params.Seed, *quickFlag)
@@ -266,7 +246,6 @@ func main() {
 		}
 		emit("ext12_partition", res.Table())
 		ext12Res = res
-		ran++
 	}
 	if selected("ext11") || *coreFlag != "" {
 		res, err := experiments.Ext11(*quickFlag)
@@ -284,7 +263,6 @@ func main() {
 			}
 			fmt.Printf("  [ext11 bench json written to %s]\n\n", *coreFlag)
 		}
-		ran++
 	}
 	if *benchFlag != "" {
 		data, err := experiments.ServeBenchJSON(ext8Res, ext9Res, ext10Res, ext12Res)
@@ -295,6 +273,14 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  [bench json written to %s]\n\n", *benchFlag)
+	}
+	// A safety violation fails the run, once its output is written.
+	if ext12Res != nil {
+		for _, row := range ext12Res.Rows {
+			if row.AuditViolations > 0 {
+				log.Fatalf("ext12: %s: %d audit violations", row.Scenario, row.AuditViolations)
+			}
+		}
 	}
 	if ran == 0 {
 		log.Fatalf("-run: nothing matched %q", *runFlag)

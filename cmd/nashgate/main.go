@@ -49,6 +49,13 @@
 //	         [-autoscale] [-scale-low 0.3] [-scale-high 0.8] \
 //	         [-scale-sustain 3] [-min-active 1]
 //
+// A replica's gateway runs with every gateway flag above, as in gateway
+// mode: -listen, -seed, -fill/-burst, -timeout, -retries, the self-healing
+// flags, -retry-budget, -max-idle-per-host and -poll/-update-every/-alpha.
+// -backends, -rates and -arrivals give the machine universe and the nominal
+// game, and -profile does not apply: the leader's tables route, and a
+// replica's -poll loop only keeps its saturation estimate fresh.
+//
 // The control listener adds /fleet (replica status), /fleet/heartbeat,
 // /fleet/report, /fleet/table and /fleet/machines.
 //
@@ -59,6 +66,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -78,179 +86,159 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nashgate: ")
-	var (
-		backendFlag  = flag.Bool("backend", false, "run a backend worker node instead of the gateway")
-		listenFlag   = flag.String("listen", "127.0.0.1:0", "listen address")
-		seedFlag     = flag.Uint64("seed", 2002, "seed for routing (gateway) or service-time (backend) streams")
-		backendsFlag = flag.String("backends", "", "gateway: comma-separated backend base URLs")
-		ratesFlag    = flag.String("rates", "", "gateway: backend service rates mu_j (jobs/s), one per backend")
-		arrivalsFlag = flag.String("arrivals", "", "gateway: user arrival rates phi_i (jobs/s)")
-		profileFlag  = flag.String("profile", "nash", "gateway: initial routing profile, nash or ps")
-		pollFlag     = flag.Duration("poll", 0, "gateway: re-equilibration poll period (0 = static routing)")
-		updateFlag   = flag.Int("update-every", 1, "gateway: play one best response every this many polls")
-		alphaFlag    = flag.Float64("alpha", 0.2, "gateway: EWMA weight for queue-depth observations")
-		fillFlag     = flag.Float64("fill", 0, "gateway: token-bucket fill rate (req/s; 0 disables admission)")
-		burstFlag    = flag.Float64("burst", 0, "gateway: token-bucket burst size")
-		timeoutFlag  = flag.Duration("timeout", 5*time.Second, "gateway: per-attempt backend timeout")
-		retriesFlag  = flag.Int("retries", 2, "gateway: retries after backend transport failures")
-		probeFlag    = flag.Duration("probe", 250*time.Millisecond, "gateway: health probe period (0 disables the self-healing layer)")
-		failuresFlag = flag.Int("breaker-failures", 3, "gateway: consecutive failures that open a backend's breaker")
-		cooldownFlag = flag.Duration("breaker-cooldown", time.Second, "gateway: open-breaker wait before a half-open trial")
-		rampFlag     = flag.Int("ramp-steps", 3, "gateway: health epochs over which a recovered backend re-admits")
-		degradedFlag = flag.Float64("degraded-rho", 0.9, "gateway: admitted utilization while shedding in degraded mode")
-		budgetFlag   = flag.Float64("retry-budget", 0.1, "gateway: retry budget as a fraction of requests (negative disables)")
-		idleFlag     = flag.Int("max-idle-per-host", 0, "gateway: idle connections kept per backend (0 = default 512)")
-		rateFlag     = flag.Float64("rate", 0, "backend: service rate mu (jobs/s)")
-		queueCapFlag = flag.Int("queue-cap", serve.DefaultQueueCap, "backend: jobs-in-system bound")
-
-		fleetFlag        = flag.Bool("fleet", false, "run as a fleet replica (needs -fleet-id and -fleet-peers)")
-		fleetIDFlag      = flag.Int("fleet-id", 0, "fleet: this replica's id (indexes -fleet-peers)")
-		fleetPeersFlag   = flag.String("fleet-peers", "", "fleet: comma-separated control URLs for every replica, ordered by id")
-		fleetListenFlag  = flag.String("fleet-listen", "127.0.0.1:0", "fleet: control-plane listen address")
-		heartbeatFlag    = flag.Duration("heartbeat", 50*time.Millisecond, "fleet: peer heartbeat period")
-		solveEveryFlag   = flag.Duration("solve-every", 250*time.Millisecond, "fleet: leader supervision epoch")
-		autoscaleFlag    = flag.Bool("autoscale", false, "fleet: drain idle capacity / activate standbys automatically")
-		scaleLowFlag     = flag.Float64("scale-low", 0.3, "fleet: utilization below which the autoscaler drains")
-		scaleHighFlag    = flag.Float64("scale-high", 0.8, "fleet: utilization above which the autoscaler activates")
-		scaleSustainFlag = flag.Int("scale-sustain", 3, "fleet: consecutive epochs a threshold must hold before scaling")
-		minActiveFlag    = flag.Int("min-active", 1, "fleet: floor on active machines")
-		quorumFlag       = flag.Int("quorum", 0, "fleet: nodes (self included) this replica must heartbeat to lead (0 = strict majority)")
-		durableFlag      = flag.String("fleet-durable-dir", "", "fleet: directory for the crash-durable control-plane snapshot (empty = in-memory only)")
-	)
-	flag.Parse()
-
-	if *backendFlag {
-		runBackend(*rateFlag, *queueCapFlag, *seedFlag, *listenFlag)
-		return
+	c, err := parseFlags(os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *fleetFlag {
-		runFleet(fleetArgs{
-			id:         *fleetIDFlag,
-			peers:      *fleetPeersFlag,
-			listen:     *fleetListenFlag,
-			backends:   *backendsFlag,
-			rates:      *ratesFlag,
-			arrivals:   *arrivalsFlag,
-			heartbeat:  *heartbeatFlag,
-			solveEvery: *solveEveryFlag,
-			quorum:     *quorumFlag,
-			durableDir: *durableFlag,
-			seed:       *seedFlag,
-			autoscale: fleet.AutoscaleConfig{
-				Enabled:   *autoscaleFlag,
-				Low:       *scaleLowFlag,
-				High:      *scaleHighFlag,
-				Sustain:   *scaleSustainFlag,
-				MinActive: *minActiveFlag,
-			},
-			gateway: serve.GatewayConfig{
-				Seed:        *seedFlag,
-				FillRate:    *fillFlag,
-				Burst:       *burstFlag,
-				Timeout:     *timeoutFlag,
-				Retries:     *retriesFlag,
-				ProbeEvery:  *probeFlag,
-				Breaker:     serve.BreakerConfig{Failures: *failuresFlag, Cooldown: *cooldownFlag},
-				RampSteps:   *rampFlag,
-				DegradedRho: *degradedFlag,
-				RetryBudget: *budgetFlag,
-				Addr:        *listenFlag,
-			},
-		})
-		return
+	switch {
+	case c.backend != nil:
+		runBackend(*c.backend)
+	case c.node != nil:
+		runFleet(*c.node, c.peers)
+	default:
+		runGateway(c.gateway, c.profile)
 	}
-	runGateway(gatewayArgs{
-		backends: *backendsFlag,
-		rates:    *ratesFlag,
-		arrivals: *arrivalsFlag,
-		profile:  *profileFlag,
-		listen:   *listenFlag,
-		seed:     *seedFlag,
-		poll:     *pollFlag,
-		update:   *updateFlag,
-		alpha:    *alphaFlag,
-		fill:     *fillFlag,
-		burst:    *burstFlag,
-		timeout:  *timeoutFlag,
-		retries:  *retriesFlag,
-		probe:    *probeFlag,
-		failures: *failuresFlag,
-		cooldown: *cooldownFlag,
-		ramp:     *rampFlag,
-		degraded: *degradedFlag,
-		budget:   *budgetFlag,
-		maxIdle:  *idleFlag,
-	})
 }
 
-func runBackend(rate float64, queueCap int, seed uint64, listen string) {
-	if rate <= 0 {
-		log.Fatal("-backend needs -rate > 0")
+// command is one parsed command line: the gateway settings, which gateway
+// and fleet mode both run with, and the settings of the mode chosen.
+type command struct {
+	gateway serve.GatewayConfig
+	profile string               // gateway mode: nash or ps
+	backend *serve.BackendConfig // backend mode
+	node    *fleet.Config        // fleet mode, its Gateway the gateway settings
+	peers   []string             // fleet mode
+}
+
+// parseFlags reads a command line. The gateway flags set one
+// serve.GatewayConfig, Backends, Rates and Arrivals included; gateway mode
+// serves it, and fleet mode hands it to the node as its gateway template.
+func parseFlags(args []string) (command, error) {
+	var (
+		c  command
+		g  = &c.gateway
+		b  serve.BackendConfig
+		n  fleet.Config
+		fs = flag.NewFlagSet("nashgate", flag.ExitOnError)
+	)
+	backendMode := fs.Bool("backend", false, "run a backend worker node instead of the gateway")
+	fs.StringVar(&g.Addr, "listen", "127.0.0.1:0", "listen address")
+	fs.Uint64Var(&g.Seed, "seed", 2002, "seed for routing (gateway) or service-time (backend) streams")
+	backends := fs.String("backends", "", "gateway: comma-separated backend base URLs")
+	rates := fs.String("rates", "", "gateway: backend service rates mu_j (jobs/s), one per backend")
+	arrivals := fs.String("arrivals", "", "gateway: user arrival rates phi_i (jobs/s)")
+	fs.StringVar(&c.profile, "profile", "nash", "gateway: initial routing profile, nash or ps")
+	fs.DurationVar(&g.PollEvery, "poll", 0, "gateway: re-equilibration poll period (0 = static routing)")
+	fs.IntVar(&g.UpdateEvery, "update-every", 1, "gateway: play one best response every this many polls")
+	fs.Float64Var(&g.Alpha, "alpha", 0.2, "gateway: EWMA weight for queue-depth observations")
+	fs.Float64Var(&g.FillRate, "fill", 0, "gateway: token-bucket fill rate (req/s; 0 disables admission)")
+	fs.Float64Var(&g.Burst, "burst", 0, "gateway: token-bucket burst size")
+	fs.DurationVar(&g.Timeout, "timeout", 5*time.Second, "gateway: per-attempt backend timeout")
+	fs.IntVar(&g.Retries, "retries", 2, "gateway: retries after backend transport failures")
+	fs.DurationVar(&g.ProbeEvery, "probe", 250*time.Millisecond, "gateway: health probe period (0 disables the self-healing layer)")
+	fs.IntVar(&g.Breaker.Failures, "breaker-failures", 3, "gateway: consecutive failures that open a backend's breaker")
+	fs.DurationVar(&g.Breaker.Cooldown, "breaker-cooldown", time.Second, "gateway: open-breaker wait before a half-open trial")
+	fs.IntVar(&g.RampSteps, "ramp-steps", 3, "gateway: health epochs over which a recovered backend re-admits")
+	fs.Float64Var(&g.DegradedRho, "degraded-rho", 0.9, "gateway: admitted utilization while shedding in degraded mode, in (0, 0.95); other values fall back to 0.9")
+	fs.Float64Var(&g.RetryBudget, "retry-budget", 0.1, "gateway: retry budget as a fraction of requests (negative disables)")
+	fs.IntVar(&g.MaxIdleConnsPerHost, "max-idle-per-host", 0, "gateway: idle connections kept per backend (0 = default 512)")
+	fs.Float64Var(&b.Rate, "rate", 0, "backend: service rate mu (jobs/s)")
+	fs.IntVar(&b.QueueCap, "queue-cap", serve.DefaultQueueCap, "backend: jobs-in-system bound")
+
+	fleetMode := fs.Bool("fleet", false, "run as a fleet replica (needs -fleet-id and -fleet-peers)")
+	fs.IntVar(&n.ID, "fleet-id", 0, "fleet: this replica's id (indexes -fleet-peers)")
+	peers := fs.String("fleet-peers", "", "fleet: comma-separated control URLs for every replica, ordered by id")
+	fs.StringVar(&n.Addr, "fleet-listen", "127.0.0.1:0", "fleet: control-plane listen address")
+	fs.DurationVar(&n.HeartbeatEvery, "heartbeat", 50*time.Millisecond, "fleet: peer heartbeat period")
+	fs.DurationVar(&n.SolveEvery, "solve-every", 250*time.Millisecond, "fleet: leader supervision epoch")
+	fs.BoolVar(&n.Autoscale.Enabled, "autoscale", false, "fleet: drain idle capacity / activate standbys automatically")
+	fs.Float64Var(&n.Autoscale.Low, "scale-low", 0.3, "fleet: utilization below which the autoscaler drains")
+	fs.Float64Var(&n.Autoscale.High, "scale-high", 0.8, "fleet: utilization above which the autoscaler activates")
+	fs.IntVar(&n.Autoscale.Sustain, "scale-sustain", 3, "fleet: consecutive epochs a threshold must hold before scaling")
+	fs.IntVar(&n.Autoscale.MinActive, "min-active", 1, "fleet: floor on active machines")
+	fs.IntVar(&n.Quorum, "quorum", 0, "fleet: nodes (self included) this replica must heartbeat to lead (0 = strict majority)")
+	fs.StringVar(&n.DurableDir, "fleet-durable-dir", "", "fleet: directory for the crash-durable control-plane snapshot (empty = in-memory only)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
+
+	if *backendMode {
+		if !(b.Rate > 0) {
+			return c, errors.New("-backend needs -rate > 0")
+		}
+		b.Seed, b.Addr = g.Seed, g.Addr
+		c.backend = &b
+		return c, nil
 	}
-	b, err := serve.NewBackend(serve.BackendConfig{
-		Rate:     rate,
-		QueueCap: queueCap,
-		Seed:     seed,
-		Addr:     listen,
-	})
+	if *backends == "" || *fleetMode && *peers == "" {
+		return c, errors.New("gateway mode needs -backends, -rates and -arrivals, fleet mode -fleet-peers too (or use -backend for a worker)")
+	}
+	var err error
+	if g.Backends, err = urlList(*backends); err != nil {
+		return c, fmt.Errorf("-backends: %w", err)
+	}
+	if g.Rates, err = cli.ParseFloats(*rates); err != nil {
+		return c, fmt.Errorf("-rates: %w", err)
+	}
+	if g.Arrivals, err = cli.ParseFloats(*arrivals); err != nil {
+		return c, fmt.Errorf("-arrivals: %w", err)
+	}
+	if len(g.Backends) != len(g.Rates) {
+		return c, fmt.Errorf("%d backends but %d rates", len(g.Backends), len(g.Rates))
+	}
+	if !*fleetMode {
+		return c, nil
+	}
+	if c.peers, err = urlList(*peers); err != nil {
+		return c, fmt.Errorf("-fleet-peers: %w", err)
+	}
+	n.Machines = make([]fleet.Machine, len(g.Backends))
+	for j, u := range g.Backends {
+		n.Machines[j] = fleet.Machine{URL: u, Rate: g.Rates[j], Active: true}
+	}
+	n.Arrivals, n.Seed, n.Gateway = g.Arrivals, g.Seed, c.gateway
+	c.node = &n
+	return c, nil
+}
+
+// urlList splits a comma-separated list of base URLs, dropping each one's
+// trailing slash.
+func urlList(s string) ([]string, error) {
+	var urls []string
+	for _, u := range strings.Split(s, ",") {
+		u = strings.TrimSpace(u)
+		if u == "" {
+			return nil, errors.New("empty URL in list")
+		}
+		urls = append(urls, strings.TrimSuffix(u, "/"))
+	}
+	return urls, nil
+}
+
+func runBackend(cfg serve.BackendConfig) {
+	b, err := serve.NewBackend(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := b.Start(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("backend serving mu=%g on %s\n", rate, b.URL())
+	fmt.Printf("backend serving mu=%g on %s\n", cfg.Rate, b.URL())
 	waitForInterrupt()
 	if err := b.Close(); err != nil {
 		log.Fatal(err)
 	}
 }
 
-type gatewayArgs struct {
-	backends, rates, arrivals, profile, listen string
-	seed                                       uint64
-	poll                                       time.Duration
-	update                                     int
-	alpha, fill, burst                         float64
-	timeout                                    time.Duration
-	retries                                    int
-	probe, cooldown                            time.Duration
-	failures, ramp                             int
-	degraded, budget                           float64
-	maxIdle                                    int
-}
-
-func runGateway(a gatewayArgs) {
-	if a.backends == "" {
-		log.Fatal("gateway mode needs -backends (or use -backend for a worker)")
-	}
-	var urls []string
-	for _, u := range strings.Split(a.backends, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			log.Fatal("-backends: empty URL in list")
-		}
-		urls = append(urls, strings.TrimSuffix(u, "/"))
-	}
-	rates, err := cli.ParseFloats(a.rates)
-	if err != nil {
-		log.Fatalf("-rates: %v", err)
-	}
-	arrivals, err := cli.ParseFloats(a.arrivals)
-	if err != nil {
-		log.Fatalf("-arrivals: %v", err)
-	}
-	sys, err := game.NewSystem(rates, arrivals)
+func runGateway(cfg serve.GatewayConfig, profile string) {
+	sys, err := game.NewSystem(cfg.Rates, cfg.Arrivals)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	var profile game.Profile
-	switch a.profile {
+	switch profile {
 	case "ps":
-		profile = game.ProportionalProfile(sys)
+		cfg.Profile = game.ProportionalProfile(sys)
 		fmt.Printf("routing by proportional profile, predicted D = %.6gs\n",
-			sys.OverallResponseTime(profile))
+			sys.OverallResponseTime(cfg.Profile))
 	case "nash":
 		res, err := core.Solve(sys, core.Options{})
 		if err != nil {
@@ -259,36 +247,14 @@ func runGateway(a gatewayArgs) {
 		if !res.Converged {
 			log.Fatalf("NASH did not converge in %d rounds", res.Rounds)
 		}
-		profile = res.Profile
+		cfg.Profile = res.Profile
 		fmt.Printf("NASH converged in %d rounds, predicted D = %.6gs\n",
 			res.Rounds, res.OverallTime)
 	default:
-		log.Fatalf("-profile %q: want nash or ps", a.profile)
+		log.Fatalf("-profile %q: want nash or ps", profile)
 	}
 
-	g, err := serve.NewGateway(serve.GatewayConfig{
-		Backends:    urls,
-		Rates:       rates,
-		Arrivals:    arrivals,
-		Profile:     profile,
-		Seed:        a.seed,
-		FillRate:    a.fill,
-		Burst:       a.burst,
-		PollEvery:   a.poll,
-		UpdateEvery: a.update,
-		Alpha:       a.alpha,
-		Timeout:     a.timeout,
-		Retries:     a.retries,
-		ProbeEvery:  a.probe,
-		Breaker:     serve.BreakerConfig{Failures: a.failures, Cooldown: a.cooldown},
-		RampSteps:   a.ramp,
-		DegradedRho: a.degraded,
-		RetryBudget: a.budget,
-
-		MaxIdleConnsPerHost: a.maxIdle,
-
-		Addr: a.listen,
-	})
+	g, err := serve.NewGateway(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -296,7 +262,7 @@ func runGateway(a gatewayArgs) {
 		log.Fatal(err)
 	}
 	fmt.Printf("gateway serving %d users over %d backends on %s\n",
-		len(arrivals), len(urls), g.URL())
+		len(cfg.Arrivals), len(cfg.Backends), g.URL())
 	waitForInterrupt()
 	// Graceful drain: refuse new admissions immediately, then let Close wait
 	// out the in-flight requests.
@@ -306,72 +272,8 @@ func runGateway(a gatewayArgs) {
 	}
 }
 
-// fleetArgs bundles the fleet-mode flags.
-type fleetArgs struct {
-	id         int
-	peers      string
-	listen     string
-	backends   string
-	rates      string
-	arrivals   string
-	heartbeat  time.Duration
-	solveEvery time.Duration
-	quorum     int
-	durableDir string
-	seed       uint64
-	autoscale  fleet.AutoscaleConfig
-	gateway    serve.GatewayConfig
-}
-
-func runFleet(a fleetArgs) {
-	if a.backends == "" || a.peers == "" {
-		log.Fatal("fleet mode needs -backends, -rates, -arrivals and -fleet-peers")
-	}
-	rates, err := cli.ParseFloats(a.rates)
-	if err != nil {
-		log.Fatalf("-rates: %v", err)
-	}
-	arrivals, err := cli.ParseFloats(a.arrivals)
-	if err != nil {
-		log.Fatalf("-arrivals: %v", err)
-	}
-	var urls []string
-	for _, u := range strings.Split(a.backends, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			log.Fatal("-backends: empty URL in list")
-		}
-		urls = append(urls, strings.TrimSuffix(u, "/"))
-	}
-	if len(urls) != len(rates) {
-		log.Fatalf("%d backends but %d rates", len(urls), len(rates))
-	}
-	machines := make([]fleet.Machine, len(urls))
-	for j, u := range urls {
-		machines[j] = fleet.Machine{URL: u, Rate: rates[j], Active: true}
-	}
-	var peers []string
-	for _, p := range strings.Split(a.peers, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			log.Fatal("-fleet-peers: empty URL in list")
-		}
-		peers = append(peers, strings.TrimSuffix(p, "/"))
-	}
-
-	n, err := fleet.NewNode(fleet.Config{
-		ID:             a.id,
-		Machines:       machines,
-		Arrivals:       arrivals,
-		Gateway:        a.gateway,
-		HeartbeatEvery: a.heartbeat,
-		SolveEvery:     a.solveEvery,
-		Quorum:         a.quorum,
-		DurableDir:     a.durableDir,
-		Seed:           a.seed,
-		Autoscale:      a.autoscale,
-		Addr:           a.listen,
-	})
+func runFleet(cfg fleet.Config, peers []string) {
+	n, err := fleet.NewNode(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -379,7 +281,7 @@ func runFleet(a fleetArgs) {
 		log.Fatal(err)
 	}
 	fmt.Printf("fleet replica %d of %d: gateway %s, control %s\n",
-		a.id, len(peers), n.GatewayURL(), n.ControlURL())
+		cfg.ID, len(peers), n.GatewayURL(), n.ControlURL())
 	waitForInterrupt()
 	// Stop drains the gateway, advertises the drain on the heartbeat so
 	// peers elect around this replica, finishes in-flight requests, and

@@ -13,6 +13,9 @@ import (
 // opposed to a protocol failure) when deciding whether to restart.
 var ErrCrashed = errors.New("dist: node crashed (injected fault)")
 
+// errInjectedCut is the failure a Cut send reports after delivering.
+var errInjectedCut = errors.New("dist: injected link fault")
+
 // ChaosConfig parameterizes a Chaos transport. All probabilities are per
 // message, in [0, 1]; every coin flip is drawn from R, so a run with the
 // same seed replays the exact same fault schedule.
@@ -22,6 +25,9 @@ type ChaosConfig struct {
 	Drop float64
 	// Dup is the probability a sent message is transmitted twice.
 	Dup float64
+	// Cut is the probability a send that went out reports failure anyway,
+	// so the sender retries a message already delivered.
+	Cut float64
 	// DelayProb is the probability a message is delivered asynchronously
 	// after a random delay in (0, MaxDelay) instead of immediately.
 	DelayProb float64
@@ -40,9 +46,8 @@ type ChaosConfig struct {
 }
 
 // Chaos wraps a transport with seeded fault injection: drop, duplicate,
-// delay, reorder, and scheduled crash. It generalizes Flaky (which only
-// duplicates and fakes send failures) into a full chaos harness for the
-// ring protocol's recovery paths.
+// a delivered send reported as failed, delay, reorder, and scheduled crash —
+// the chaos harness for the ring protocol's recovery paths.
 //
 // Like the transports it wraps, a Chaos serves a single ring node and is
 // not safe for concurrent use by multiple goroutines; the asynchronous
@@ -92,7 +97,12 @@ func (c *Chaos) Send(m Message) error {
 	if c.held != nil {
 		held := *c.held
 		c.held = nil
-		return c.deliver(held)
+		if err := c.deliver(held); err != nil {
+			return err
+		}
+	}
+	if c.flip(c.cfg.Cut) {
+		return errInjectedCut
 	}
 	return nil
 }

@@ -367,6 +367,30 @@ func TestChaosDropAndDup(t *testing.T) {
 	}
 }
 
+// TestChaosCutDeliversAndFails: a cut send delivers the message and still
+// reports failure, so the sender's retry is a duplicate, which Dedup on the
+// receiving side absorbs.
+func TestChaosCutDeliversAndFails(t *testing.T) {
+	ts := ChanRing(2)
+	cut := NewChaos(ts[1], ChaosConfig{Cut: 1, R: rng.New(4)})
+	recv := NewDedup(&Timeout{Inner: ts[0], D: 20 * time.Millisecond})
+	defer recv.Close()
+	m := Message{Kind: Token, Round: 3, From: 1, Seq: 8}
+	if err := cut.Send(m); !errors.Is(err, errInjectedCut) {
+		t.Fatalf("cut send: want the injected fault, got %v", err)
+	}
+	if got, err := recv.Recv(); err != nil || got.Round != 3 || got.Seq != 8 {
+		t.Fatalf("cut send was not delivered: %+v (%v)", got, err)
+	}
+	// The retry goes out too and fails again; Dedup drops the copy.
+	if err := cut.Send(m); !errors.Is(err, errInjectedCut) {
+		t.Fatalf("retried cut send: want the injected fault, got %v", err)
+	}
+	if got, err := recv.Recv(); !errors.Is(err, ErrRecvTimeout) {
+		t.Fatalf("the retried copy got past Dedup: %+v (%v)", got, err)
+	}
+}
+
 func TestChaosReorderSwapsMessages(t *testing.T) {
 	ts := ChanRing(2)
 	re := NewChaos(ts[1], ChaosConfig{Reorder: 1, R: rng.New(3)})

@@ -106,7 +106,7 @@ func TestRingWithDuplicatedMessages(t *testing.T) {
 	base := ChanRing(sys.Users())
 	flaky := make([]Transport, len(base))
 	for i := range base {
-		flaky[i] = &Flaky{Inner: base[i], DupProb: 0.5, R: rng.New(uint64(i) + 1)}
+		flaky[i] = NewChaos(base[i], ChaosConfig{Dup: 0.5, R: rng.New(uint64(i) + 1)})
 	}
 	store := NewMemoryStore(sys, nil)
 	res, err := Run(sys, store, flaky, Options{})
@@ -120,8 +120,8 @@ func TestRingWithDuplicatedMessages(t *testing.T) {
 }
 
 func TestRingWithInjectedSendFaults(t *testing.T) {
-	// CutProb makes Send report failure after actually transmitting; the
-	// node retries with the same sequence number and Dedup suppresses the
+	// Cut makes Send report failure after actually transmitting; the node
+	// retries with the same sequence number and Dedup suppresses the
 	// resulting duplicates.
 	sys := testSystem(t, 4, 0.5)
 	seq, err := core.Solve(sys, core.Options{})
@@ -131,7 +131,7 @@ func TestRingWithInjectedSendFaults(t *testing.T) {
 	base := ChanRing(sys.Users())
 	flaky := make([]Transport, len(base))
 	for i := range base {
-		flaky[i] = &Flaky{Inner: base[i], CutProb: 0.3, DupProb: 0.2, R: rng.New(uint64(i) + 77)}
+		flaky[i] = NewChaos(base[i], ChaosConfig{Cut: 0.3, Dup: 0.2, R: rng.New(uint64(i) + 77)})
 	}
 	res, err := Run(sys, NewMemoryStore(sys, nil), flaky, Options{})
 	if err != nil {

@@ -411,42 +411,6 @@ func (t *tcpTransport) Close() error {
 // Fault injection and duplicate suppression
 // ---------------------------------------------------------------------------
 
-// Flaky wraps a transport and injects link-level faults on Send:
-// with DupProb the message is transmitted twice, and with CutProb the
-// underlying send is still performed but reported as failed to the caller
-// (exercising caller-side retry paths, which then produce duplicates).
-type Flaky struct {
-	Inner Transport
-	// DupProb is the probability a sent message is duplicated.
-	DupProb float64
-	// CutProb is the probability a successful send reports an error.
-	CutProb float64
-	// R drives the fault coin flips.
-	R *rng.Stream
-}
-
-// Send implements Transport.
-func (f *Flaky) Send(m Message) error {
-	if err := f.Inner.Send(m); err != nil {
-		return err
-	}
-	if f.R.Float64() < f.DupProb {
-		if err := f.Inner.Send(m); err != nil {
-			return err
-		}
-	}
-	if f.R.Float64() < f.CutProb {
-		return errors.New("dist: injected link fault")
-	}
-	return nil
-}
-
-// Recv implements Transport.
-func (f *Flaky) Recv() (Message, error) { return f.Inner.Recv() }
-
-// Close implements Transport.
-func (f *Flaky) Close() error { return f.Inner.Close() }
-
 // ErrRecvTimeout reports that no message arrived within the liveness
 // deadline — the ring has stalled (a node crashed or a link broke).
 var ErrRecvTimeout = errors.New("dist: receive timed out (ring stalled)")

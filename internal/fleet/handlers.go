@@ -1,13 +1,12 @@
 package fleet
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"nashlb/internal/serve"
@@ -32,13 +31,10 @@ type FleetStatus struct {
 	QuorumOK bool   `json:"quorum_ok"`
 	Durable  bool   `json:"durable"`
 	// Elections counts this node's leadership assumptions; Solves counts
-	// the supervision epochs it has led; TableSkips counts led epochs whose
-	// re-solve matched the distributed table so no push went out;
-	// SolveFailures counts led epochs whose solve failed, so replicas kept
-	// their last table.
+	// the supervision epochs it has led; SolveFailures counts led epochs
+	// whose solve failed, so replicas kept their last table.
 	Elections     int64 `json:"elections"`
 	Solves        int64 `json:"solves"`
-	TableSkips    int64 `json:"table_skips"`
 	SolveFailures int64 `json:"solve_failures"`
 	// Machines is the provisioned universe with installed Active flags.
 	Machines []Machine `json:"machines"`
@@ -49,10 +45,31 @@ type FleetStatus struct {
 	GatewayURL       string    `json:"gateway_url"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// reply is the handlers' one writer: an error goes out as its text, anything
+// else as JSON.
+func reply(w http.ResponseWriter, status int, v any) {
+	if err, ok := v.(error); ok {
+		http.Error(w, err.Error(), status)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// readBody is the handlers' one reader: it reads a request body of at most
+// MaxMessage bytes and decodes it with dec. A body too long or malformed
+// gets a 400, and ok is false.
+func readBody[T any](w http.ResponseWriter, r *http.Request, dec func([]byte) (T, error)) (v T, ok bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxMessage))
+	if err == nil {
+		v, err = dec(data)
+	}
+	if err != nil {
+		reply(w, http.StatusBadRequest, err)
+		return v, false
+	}
+	return v, true
 }
 
 func (n *Node) handleFleet(w http.ResponseWriter, r *http.Request) {
@@ -73,7 +90,6 @@ func (n *Node) handleFleet(w http.ResponseWriter, r *http.Request) {
 		Durable:          n.wal != nil,
 		Elections:        n.elections.Load(),
 		Solves:           n.solves.Load(),
-		TableSkips:       n.distSkips.Load(),
 		SolveFailures:    n.solveFail.Load(),
 		PeersAlive:       append([]bool(nil), n.alive...),
 		ArrivalsEstimate: append([]float64(nil), n.estRates...),
@@ -88,7 +104,7 @@ func (n *Node) handleFleet(w http.ResponseWriter, r *http.Request) {
 		st.PeersAlive[n.cfg.ID] = !n.draining
 	}
 	n.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	reply(w, http.StatusOK, st)
 }
 
 func (n *Node) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -106,13 +122,7 @@ func (n *Node) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		Draining: n.draining,
 	}
 	n.mu.Unlock()
-	data, err := EncodeHeartbeat(hb)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
+	reply(w, http.StatusOK, hb)
 }
 
 func (n *Node) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -123,13 +133,7 @@ func (n *Node) handleReport(w http.ResponseWriter, r *http.Request) {
 		Weights:  n.gw.HealthWeights(),
 	}
 	n.mu.Unlock()
-	data, err := EncodeReport(rep)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
+	reply(w, http.StatusOK, rep)
 }
 
 // handleTable applies a leader-pushed routing table. The gateway's fence
@@ -137,29 +141,23 @@ func (n *Node) handleReport(w http.ResponseWriter, r *http.Request) {
 // deposed leader learns its reign is over; anything newer installs
 // atomically and updates the replica's view of leadership.
 func (n *Node) handleTable(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxMessage))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	t, err := DecodeTable(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	t, ok := readBody(w, r, DecodeTable)
+	if !ok {
 		return
 	}
 	if len(t.Machines) != len(n.cfg.Machines) {
-		http.Error(w, "fleet: table universe size mismatch", http.StatusBadRequest)
+		reply(w, http.StatusBadRequest, errors.New("fleet: table universe size mismatch"))
 		return
 	}
 	active := make([]bool, len(t.Machines))
 	for j, m := range t.Machines {
 		if m.URL != n.cfg.Machines[j].URL || m.Rate != n.cfg.Machines[j].Rate {
-			http.Error(w, fmt.Sprintf("fleet: machine %d mismatch with provisioned universe", j), http.StatusBadRequest)
+			reply(w, http.StatusBadRequest, fmt.Errorf("fleet: machine %d mismatch with provisioned universe", j))
 			return
 		}
 		active[j] = m.Active
 	}
-	err = n.installAndCommit(serve.Table{
+	err := n.installAndCommit(serve.Table{
 		Epoch:       t.Epoch,
 		Version:     t.Version,
 		Profile:     t.Profile,
@@ -169,14 +167,14 @@ func (n *Node) handleTable(w http.ResponseWriter, r *http.Request) {
 	}, t.Leader)
 	if errors.Is(err, serve.ErrStaleTable) {
 		epoch, version := n.gw.TableEpoch()
-		writeJSON(w, http.StatusConflict, map[string]uint64{"epoch": epoch, "version": version})
+		reply(w, http.StatusConflict, fenceMark{Epoch: epoch, Version: version})
 		return
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		reply(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "installed"})
+	reply(w, http.StatusOK, map[string]string{"status": "installed"})
 }
 
 // handleClaim answers a leadership claim: grant if and only if the proposed
@@ -185,14 +183,8 @@ func (n *Node) handleTable(w http.ResponseWriter, r *http.Request) {
 // a crash cannot un-promise it — the persistence that makes "at most one
 // leader per generation" hold across restarts.
 func (n *Node) handleClaim(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxMessage))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	c, err := DecodeClaim(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	c, ok := readBody(w, r, decode[Claim])
+	if !ok {
 		return
 	}
 	n.mu.Lock()
@@ -208,50 +200,35 @@ func (n *Node) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if granted {
 		n.persist()
 	}
-	writeJSON(w, http.StatusOK, ClaimReply{Granted: granted, Gen: cur})
+	reply(w, http.StatusOK, ClaimReply{Granted: granted, Gen: cur})
 }
 
 // handleMachines serves elastic membership: join activates a provisioned
-// standby, leave drains an active machine. Followers proxy the request to
-// the leader (one hop); the leader applies the change to its desired set
-// and re-solves immediately so the new equilibrium propagates in the same
-// request.
+// standby, leave drains an active machine. Followers forward the request to
+// the leader (one hop, marked ?forwarded so it goes no further); the leader
+// applies the change to its desired set and re-solves immediately so the
+// new equilibrium propagates in the same request.
 func (n *Node) handleMachines(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxMessage))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	op, ok := readBody(w, r, decode[MachineOp])
+	if !ok {
 		return
 	}
-	op, err := DecodeMachineOp(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
 	n.mu.Lock()
 	leader := n.leader
-	var leaderURL string
-	if leader >= 0 && leader < len(n.peers) {
-		leaderURL = n.peers[leader]
-	}
 	n.mu.Unlock()
 
 	if leader < 0 {
-		http.Error(w, "fleet: no leader elected", http.StatusServiceUnavailable)
+		reply(w, http.StatusServiceUnavailable, errors.New("fleet: no leader elected"))
 		return
 	}
 	if leader != n.cfg.ID {
-		if r.Header.Get("X-Fleet-Forwarded") != "" {
+		if r.URL.Query().Has("forwarded") {
 			// A forwarded request landing on a non-leader means the
 			// leadership view is churning; let the client retry.
-			http.Error(w, "fleet: leadership changed, retry", http.StatusServiceUnavailable)
+			reply(w, http.StatusServiceUnavailable, errors.New("fleet: leadership changed, retry"))
 			return
 		}
-		if !n.linkUp(leader) {
-			http.Error(w, "fleet: leader unreachable", http.StatusServiceUnavailable)
-			return
-		}
-		n.forwardMachines(w, leaderURL, body)
+		n.forwardMachines(w, leader, op)
 		return
 	}
 
@@ -263,7 +240,7 @@ func (n *Node) handleMachines(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if j < 0 {
-		http.Error(w, fmt.Sprintf("fleet: unknown machine %q: the universe is provisioned at startup; joins activate a known standby", op.URL), http.StatusNotFound)
+		reply(w, http.StatusNotFound, fmt.Errorf("fleet: unknown machine %q: the universe is provisioned at startup; joins activate a known standby", op.URL))
 		return
 	}
 
@@ -281,7 +258,7 @@ func (n *Node) handleMachines(w http.ResponseWriter, r *http.Request) {
 		minActive := n.cfg.Autoscale.withDefaults().MinActive
 		if n.active[j] && nActive <= minActive {
 			n.mu.Unlock()
-			http.Error(w, fmt.Sprintf("fleet: cannot drain below %d active machine(s)", minActive), http.StatusConflict)
+			reply(w, http.StatusConflict, fmt.Errorf("fleet: cannot drain below %d active machine(s)", minActive))
 			return
 		}
 		n.active[j] = false
@@ -291,34 +268,24 @@ func (n *Node) handleMachines(w http.ResponseWriter, r *http.Request) {
 	// Propagate the new membership in this request: the response carries
 	// the machine list the fleet is now converging to.
 	n.solveAndDistribute()
-	writeJSON(w, http.StatusOK, n.Machines())
+	reply(w, http.StatusOK, n.Machines())
 }
 
-// forwardMachines proxies a membership request to the leader (single hop).
-func (n *Node) forwardMachines(w http.ResponseWriter, leaderURL string, body []byte) {
-	if leaderURL == "" {
-		http.Error(w, "fleet: leader unreachable", http.StatusServiceUnavailable)
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second+n.cfg.SolveEvery)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, leaderURL+"/fleet/machines", bytes.NewReader(body))
+// forwardMachines relays a membership request to the leader and its answer
+// back to the client.
+func (n *Node) forwardMachines(w http.ResponseWriter, leader int, op MachineOp) {
+	body, err := encode(op)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		reply(w, http.StatusBadRequest, err)
 		return
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Fleet-Forwarded", "1")
-	resp, err := n.client.Do(req)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("fleet: leader unreachable: %v", err), http.StatusServiceUnavailable)
-		return
+	status, out, err := n.call(leader, "/fleet/machines?forwarded=1", body, 2*time.Second+n.cfg.SolveEvery)
+	switch {
+	case err != nil:
+		reply(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: leader unreachable: %w", err))
+	case status != http.StatusOK:
+		reply(w, status, errors.New(strings.TrimSpace(string(out))))
+	default:
+		reply(w, status, json.RawMessage(out))
 	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(io.LimitReader(resp.Body, MaxMessage+1))
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(out)
 }

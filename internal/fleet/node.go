@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,7 +15,6 @@ import (
 
 	"nashlb/internal/dist"
 	"nashlb/internal/fleet/audit"
-	"nashlb/internal/game"
 	"nashlb/internal/rng"
 	"nashlb/internal/serve"
 )
@@ -81,7 +79,7 @@ type Config struct {
 	Seed uint64
 	// Link, when non-nil, gates every outbound control-plane call — the
 	// partition-nemesis hook. A blocked link behaves like a dead network
-	// path: probes miss, pushes fail, claims go unanswered.
+	// path: probes miss, pushes fail, claims go unanswered, forwards fail.
 	Link dist.LinkPolicy
 	// Trace, when non-nil, receives the safety-audit event stream (nil
 	// disables tracing at zero cost).
@@ -136,27 +134,10 @@ type Node struct {
 	lowStreak    int
 	highStreak   int
 
-	// Last-distributed table content, guarded by solveMu: the leader skips
-	// the version bump and the fleet-wide push when a re-solve lands on the
-	// exact table already out there, refreshing periodically (anti-entropy)
-	// so a replica that missed a push still converges.
-	lastDistEpoch uint64
-	lastProfile   game.Profile
-	lastActive    []bool
-	lastAlive     []bool
-	lastAdmitFrac float64
-	lastDistAt    time.Time
-
 	elections atomic.Int64
 	solves    atomic.Int64
-	distSkips atomic.Int64
 	solveFail atomic.Int64 // led epochs whose solve failed (no table went out)
 }
-
-// antiEntropyEvery bounds how many supervision epochs an unchanged table
-// may go without being re-pushed: at most this many solve intervals pass
-// before even an identical table is distributed again.
-const antiEntropyEvery = 8
 
 // NewNode validates the configuration, binds the control listener (so
 // ControlURL is known before Start), and builds the gateway over the full
@@ -321,10 +302,6 @@ func (n *Node) Solves() int64 { return n.solves.Load() }
 // was infeasible or did not converge), so replicas kept their last table.
 func (n *Node) SolveFailures() int64 { return n.solveFail.Load() }
 
-// TableSkips counts leader supervision epochs whose re-solve produced the
-// exact table already distributed, so no version bump or push went out.
-func (n *Node) TableSkips() int64 { return n.distSkips.Load() }
-
 // Machines returns the universe with the currently installed Active flags.
 func (n *Node) Machines() []Machine {
 	n.mu.Lock()
@@ -483,10 +460,60 @@ func (n *Node) jitter(d time.Duration) time.Duration {
 	return time.Duration(f * float64(d))
 }
 
-// linkUp consults the partition nemesis (if any) for the control link from
-// this node to peer id.
-func (n *Node) linkUp(to int) bool {
-	return n.cfg.Link == nil || n.cfg.Link.Allow(n.cfg.ID, to)
+// errLinkCut is a call the link policy refused; to the caller it is a dead
+// network path.
+var errLinkCut = errors.New("fleet: link cut by the link policy")
+
+// call sends one control message to peer `to`, a GET when body is nil and a
+// POST otherwise, and returns the answer's status and body. Every outbound
+// control message (claim, heartbeat, report fetch, table push, membership
+// forward) goes through here: the link policy (Config.Link) gates it,
+// timeout bounds it, and an answer over MaxMessage bytes is an error.
+func (n *Node) call(to int, path string, body []byte, timeout time.Duration) (int, []byte, error) {
+	if n.cfg.Link != nil && !n.cfg.Link.Allow(n.cfg.ID, to) {
+		return 0, nil, errLinkCut
+	}
+	n.mu.Lock()
+	var url string
+	if to >= 0 && to < len(n.peers) {
+		url = n.peers[to]
+	}
+	n.mu.Unlock()
+	if url == "" {
+		return 0, nil, fmt.Errorf("fleet: no peer %d", to)
+	}
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		method, rd = http.MethodPost, bytes.NewReader(body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, url+path, rd)
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := n.client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(io.LimitReader(resp.Body, MaxMessage+1))
+	if err == nil && len(out) > MaxMessage {
+		err = fmt.Errorf("fleet: answer from peer %d exceeds %d bytes", to, MaxMessage)
+	}
+	return resp.StatusCode, out, err
+}
+
+// livePeersLocked lists the peers that claims and report fetches go to:
+// alive and not draining. Callers hold n.mu.
+func (n *Node) livePeersLocked() []int {
+	var ids []int
+	for i := range n.peers {
+		if i != n.cfg.ID && n.alive[i] && !n.drainingPeer[i] {
+			ids = append(ids, i)
+		}
+	}
+	return ids
 }
 
 // traceLocked records one audit event. Callers hold n.mu, so the trace
@@ -634,31 +661,27 @@ func (n *Node) claimLeadership() bool {
 	if gen > n.maxEpoch {
 		n.maxEpoch = gen
 	}
-	type target struct {
-		id  int
-		url string
-	}
-	var targets []target
-	for i, url := range n.peers {
-		if url != "" && n.alive[i] && !n.drainingPeer[i] {
-			targets = append(targets, target{i, url})
-		}
-	}
+	targets := n.livePeersLocked()
 	_, need := n.quorumLocked()
 	n.mu.Unlock()
 	n.persist()
+	claim, err := encode(Claim{ID: n.cfg.ID, Gen: gen})
+	if err != nil {
+		return false
+	}
 
 	var granted atomic.Int64
 	granted.Add(1) // self-grant
 	var wg sync.WaitGroup
-	for _, t := range targets {
+	for _, id := range targets {
 		wg.Add(1)
-		go func(t target) {
+		go func(id int) {
 			defer wg.Done()
-			if !n.linkUp(t.id) {
+			status, out, err := n.call(id, "/fleet/claim", claim, max(n.cfg.HeartbeatEvery, 25*time.Millisecond))
+			if err != nil || status != http.StatusOK {
 				return
 			}
-			rep, err := n.postClaim(t.url, Claim{ID: n.cfg.ID, Gen: gen})
+			rep, err := decode[ClaimReply](out)
 			if err != nil {
 				return
 			}
@@ -673,7 +696,7 @@ func (n *Node) claimLeadership() bool {
 				}
 				n.mu.Unlock()
 			}
-		}(t)
+		}(id)
 	}
 	wg.Wait()
 	if int(granted.Load()) < need {
@@ -692,68 +715,40 @@ func (n *Node) claimLeadership() bool {
 	return true
 }
 
-// postClaim sends one leadership claim to one peer.
-func (n *Node) postClaim(url string, c Claim) (ClaimReply, error) {
-	data, err := EncodeClaim(c)
-	if err != nil {
-		return ClaimReply{}, err
-	}
-	timeout := n.cfg.HeartbeatEvery
-	if timeout < 25*time.Millisecond {
-		timeout = 25 * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/fleet/claim", bytes.NewReader(data))
-	if err != nil {
-		return ClaimReply{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return ClaimReply{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxMessage+1))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return ClaimReply{}, fmt.Errorf("fleet: claim status %d: %v", resp.StatusCode, err)
-	}
-	return DecodeClaimReply(body)
-}
-
 // probePeers heartbeats every peer concurrently and folds the answers into
 // the liveness view. Probes run without holding the node lock.
 func (n *Node) probePeers() {
 	n.mu.Lock()
-	peers := append([]string(nil), n.peers...)
+	peers := len(n.peers)
 	n.mu.Unlock()
 
 	type outcome struct {
 		ok bool
 		hb Heartbeat
 	}
-	results := make([]outcome, len(peers))
+	results := make([]outcome, peers)
 	var wg sync.WaitGroup
-	for i, url := range peers {
-		if url == "" {
+	for i := range results {
+		if i == n.cfg.ID {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, url string) {
+		go func(i int) {
 			defer wg.Done()
-			if !n.linkUp(i) {
-				return // a cut link is a missed probe, instantly
+			status, out, err := n.call(i, "/fleet/heartbeat", nil, max(n.cfg.HeartbeatEvery, 25*time.Millisecond))
+			if err != nil || status != http.StatusOK {
+				return // a missed probe; a cut link misses at once
 			}
-			hb, err := n.fetchHeartbeat(url)
+			hb, err := decode[Heartbeat](out)
 			results[i] = outcome{ok: err == nil, hb: hb}
-		}(i, url)
+		}(i)
 	}
 	wg.Wait()
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i := range peers {
-		if peers[i] == "" {
+	for i := range results {
+		if i == n.cfg.ID {
 			continue
 		}
 		if !results[i].ok {
@@ -773,29 +768,6 @@ func (n *Node) probePeers() {
 			n.maxEpoch = results[i].hb.Gen
 		}
 	}
-}
-
-func (n *Node) fetchHeartbeat(url string) (Heartbeat, error) {
-	timeout := n.cfg.HeartbeatEvery
-	if timeout < 25*time.Millisecond {
-		timeout = 25 * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/fleet/heartbeat", nil)
-	if err != nil {
-		return Heartbeat{}, err
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return Heartbeat{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxMessage+1))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return Heartbeat{}, fmt.Errorf("fleet: heartbeat status %d: %v", resp.StatusCode, err)
-	}
-	return DecodeHeartbeat(body)
 }
 
 // countSample is one reading of the gateway's cumulative admission counters.
@@ -862,48 +834,25 @@ func (n *Node) gatherReports() []Report {
 		Arrivals: append([]float64(nil), n.estRates...),
 		Weights:  n.gw.HealthWeights(),
 	}
-	type target struct {
-		id  int
-		url string
-	}
-	var targets []target
-	for i, url := range n.peers {
-		if url != "" && n.alive[i] && !n.drainingPeer[i] {
-			targets = append(targets, target{i, url})
-		}
-	}
+	targets := n.livePeersLocked()
 	n.mu.Unlock()
 
 	reports := make([]Report, len(targets)+1)
 	reports[0] = self
 	var wg sync.WaitGroup
-	for k, t := range targets {
+	for k, id := range targets {
 		wg.Add(1)
-		go func(k int, t target) {
+		go func(k, id int) {
 			defer wg.Done()
-			if !n.linkUp(t.id) {
+			status, out, err := n.call(id, "/fleet/report", nil, n.cfg.SolveEvery/2+50*time.Millisecond)
+			if err != nil || status != http.StatusOK {
 				return
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.SolveEvery/2+50*time.Millisecond)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.url+"/fleet/report", nil)
-			if err != nil {
-				return
-			}
-			resp, err := n.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, MaxMessage+1))
-			if err != nil || resp.StatusCode != http.StatusOK {
-				return
-			}
-			if rep, err := DecodeReport(body); err == nil {
+			if rep, err := decode[Report](out); err == nil {
 				reports[k+1] = rep
-				reports[k+1].ID = t.id
+				reports[k+1].ID = id
 			}
-		}(k, t)
+		}(k, id)
 	}
 	wg.Wait()
 	out := reports[:0]
@@ -918,8 +867,9 @@ func (n *Node) gatherReports() []Report {
 // solveAndDistribute is one leader supervision epoch: gather reports,
 // aggregate the arrival estimates into the game's user weights, fold the
 // fleet-wide health view into machine capacities, run the autoscaler, solve,
-// and push the fenced table to every replica. A 409 carrying a higher epoch
-// means this node has been deposed; it steps down immediately.
+// and push the fenced table to every replica, under a new version even when
+// it equals the last one. A 409 carrying a higher epoch means this node has
+// been deposed; it steps down immediately.
 func (n *Node) solveAndDistribute() {
 	n.solveMu.Lock()
 	defer n.solveMu.Unlock()
@@ -1029,33 +979,7 @@ func (n *Node) solveAndDistribute() {
 		return // infeasible this epoch; replicas keep their last table
 	}
 
-	n.mu.Lock()
-	peers := append([]string(nil), n.peers...)
-	alive := append([]bool(nil), n.alive...)
-	n.mu.Unlock()
 	n.solves.Add(1)
-
-	// An epoch that re-derives the exact table already distributed in this
-	// reign is a no-op for every replica: skip the version bump and the
-	// fleet push instead of churning fences. Shedding epochs always go out
-	// (replicas size degraded-mode buckets from the fresh offered rates),
-	// as does any change in the reachable-replica set (a recovered peer
-	// needs its table now, not at the next content change); the anti-entropy
-	// clock re-pushes even an unchanged table every few epochs.
-	healthy := st.AdmitFrac <= 0 || st.AdmitFrac >= 1
-	unchanged := healthy && epoch == n.lastDistEpoch &&
-		st.AdmitFrac == n.lastAdmitFrac && st.Profile.Equal(n.lastProfile) &&
-		boolsEqual(active, n.lastActive) && boolsEqual(alive, n.lastAlive)
-	if unchanged && time.Since(n.lastDistAt) < antiEntropyEvery*n.cfg.SolveEvery {
-		n.distSkips.Add(1)
-		return
-	}
-	n.lastDistEpoch = epoch
-	n.lastProfile = st.Profile
-	n.lastActive = append(n.lastActive[:0], active...)
-	n.lastAlive = append(n.lastAlive[:0], alive...)
-	n.lastAdmitFrac = st.AdmitFrac
-	n.lastDistAt = time.Now()
 
 	n.mu.Lock()
 	if !n.quorumOK || !n.wasLeader {
@@ -1064,6 +988,7 @@ func (n *Node) solveAndDistribute() {
 		n.mu.Unlock()
 		return
 	}
+	alive := append([]bool(nil), n.alive...)
 	n.leadVersion++
 	version := n.leadVersion
 	// The release decision is made here, under the same lock that orders
@@ -1099,47 +1024,26 @@ func (n *Node) solveAndDistribute() {
 		Machines: machines, Arrivals: agg, AdmitFrac: st.AdmitFrac,
 		Profile: st.Profile,
 	}
-	for i, url := range peers {
-		if url == "" || !alive[i] || !n.linkUp(i) {
+	for i := range alive {
+		if i == n.cfg.ID || !alive[i] {
 			continue
 		}
 		t.OfferedRate = offeredBy[i]
-		if deposedBy, ok := n.pushTable(url, t); ok && deposedBy > epoch {
-			n.stepDown(deposedBy)
+		data, err := EncodeTable(t)
+		if err != nil {
+			continue
+		}
+		status, out, err := n.call(i, "/fleet/table", data, n.cfg.SolveEvery/2+50*time.Millisecond)
+		if err != nil || status != http.StatusConflict {
+			continue
+		}
+		// Fenced out: the 409 carries the replica's mark, and a newer
+		// epoch there means this reign is over.
+		if mark, err := decode[fenceMark](out); err == nil && mark.Epoch > epoch {
+			n.stepDown(mark.Epoch)
 			return
 		}
 	}
-}
-
-// pushTable POSTs one table to one replica. The second return is true when
-// the replica answered 409 (fenced out); the first is the epoch it reported.
-func (n *Node) pushTable(url string, t Table) (uint64, bool) {
-	data, err := EncodeTable(t)
-	if err != nil {
-		return 0, false
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.SolveEvery/2+50*time.Millisecond)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/fleet/table", bytes.NewReader(data))
-	if err != nil {
-		return 0, false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return 0, false
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, MaxMessage+1))
-	if resp.StatusCode == http.StatusConflict {
-		var cur struct {
-			Epoch   uint64 `json:"epoch"`
-			Version uint64 `json:"version"`
-		}
-		_ = json.Unmarshal(body, &cur)
-		return cur.Epoch, true
-	}
-	return 0, false
 }
 
 // stepDown abandons leadership after meeting a newer reign or losing the
@@ -1247,9 +1151,6 @@ func (n *Node) renderMetrics(b *strings.Builder) {
 	w("# HELP fleet_table_epoch Epoch of the installed routing table.\n")
 	w("# TYPE fleet_table_epoch gauge\n")
 	w("fleet_table_epoch %d\n", epoch)
-	w("# HELP fleet_table_skips Led supervision epochs whose re-solve matched the distributed table.\n")
-	w("# TYPE fleet_table_skips counter\n")
-	w("fleet_table_skips %d\n", n.distSkips.Load())
 	w("# HELP fleet_solve_failures Led supervision epochs whose solve failed, so replicas kept their last table.\n")
 	w("# TYPE fleet_solve_failures counter\n")
 	w("fleet_solve_failures %d\n", n.solveFail.Load())
@@ -1259,18 +1160,6 @@ func (n *Node) renderMetrics(b *strings.Builder) {
 	w("# HELP fleet_quorum_ok Whether this node currently heartbeats a strict majority (1) or is in degraded minority mode (0).\n")
 	w("# TYPE fleet_quorum_ok gauge\n")
 	w("fleet_quorum_ok %d\n", quorumOK)
-}
-
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func sum(xs []float64) float64 {

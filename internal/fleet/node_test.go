@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nashlb/internal/fleet/audit"
 	"nashlb/internal/serve"
 	"nashlb/internal/testutil"
 )
@@ -95,40 +96,49 @@ func TestFleetElectsLowestAndDistributesTables(t *testing.T) {
 	}
 }
 
-// TestFleetSkipsUnchangedTables: with no live traffic the leader's
-// re-solves keep landing on the identical equilibrium, so supervision
-// epochs must mostly skip distribution (no version churn) while the
-// anti-entropy clock still re-pushes the table every few epochs.
-func TestFleetSkipsUnchangedTables(t *testing.T) {
-	nodes := startFleet(t, 2, testMachines(20, 40), []float64{3, 2}, nil)
+// TestFleetDistributesEveryLedSolve: with no live traffic the leader's
+// re-solves keep landing on the same equilibrium, and each one still goes
+// out: it bumps the version, and every follower installs every version of
+// the reign.
+func TestFleetDistributesEveryLedSolve(t *testing.T) {
+	tr := &audit.Trace{}
+	nodes := startFleet(t, 3, testMachines(20, 40), []float64{3, 2}, func(c *Config) { c.Trace = tr })
 	waitLeader(t, nodes, 0, 5*time.Second)
 	leader := nodes[0]
 
-	testutil.WaitFor(t, 10*time.Second, "steady-state epochs skip distribution", func() bool {
-		return leader.Solves() >= 12 && leader.TableSkips() >= 5
-	})
-
-	_, version := leader.TableEpoch()
-	solves, skips := leader.Solves(), leader.TableSkips()
-	if int64(version) >= solves {
-		t.Fatalf("version %d not below %d solves: unchanged tables still bump the fence", version, solves)
+	testutil.WaitFor(t, 10*time.Second, "12 led solves", func() bool { return leader.Solves() >= 12 })
+	// A solve counts before its version goes out, so the version read
+	// after the count lags it by at most the one solve in flight.
+	solves := leader.Solves()
+	epoch, version := leader.TableEpoch()
+	if int64(version) < solves-1 {
+		t.Fatalf("version %d after %d led solves: a solve went out without a new version", version, solves)
 	}
-	if solves-skips < 1 {
-		t.Fatalf("solves %d vs skips %d: nothing was ever distributed", solves, skips)
+	testutil.WaitFor(t, 5*time.Second, "followers reached the leader's version", func() bool {
+		for _, f := range nodes[1:] {
+			if e, v := f.TableEpoch(); e != epoch || v < version {
+				return false
+			}
+		}
+		return true
+	})
+	got := make(map[int][]uint64)
+	for _, ev := range tr.Events() {
+		if ev.Kind == audit.Install && ev.Epoch == epoch && ev.Node != leader.cfg.ID {
+			got[ev.Node] = append(got[ev.Node], ev.Version)
+		}
 	}
-	// Anti-entropy: even an unchanged table goes out again within
-	// antiEntropyEvery solve intervals, so over >=12 epochs the version
-	// must have advanced past the initial distribution.
-	testutil.WaitFor(t, 5*time.Second, "anti-entropy refresh re-pushed the table", func() bool {
-		_, v := leader.TableEpoch()
-		return v >= 2
-	})
-	// The refreshed fence must have reached the follower too.
-	testutil.WaitFor(t, 5*time.Second, "follower converged on the refreshed fence", func() bool {
-		le, lv := leader.TableEpoch()
-		fe, fv := nodes[1].TableEpoch()
-		return fe == le && fv == lv
-	})
+	for _, f := range nodes[1:] {
+		vs := got[f.cfg.ID]
+		if len(vs) < int(version) {
+			t.Fatalf("follower %d installed versions %v of the reign, want 1..%d", f.cfg.ID, vs, version)
+		}
+		for k, v := range vs {
+			if v != uint64(k+1) {
+				t.Fatalf("follower %d installed versions %v of the reign, want 1, 2, 3, ...", f.cfg.ID, vs)
+			}
+		}
+	}
 }
 
 // TestFleetCountsSolveFailures: every machine is unreachable, so the

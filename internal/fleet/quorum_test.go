@@ -74,7 +74,6 @@ func TestFleetMetricsGauges(t *testing.T) {
 		"fleet_leader_id 0",
 		"fleet_generation 1",
 		"fleet_table_epoch 1",
-		"fleet_table_skips",
 		"fleet_elections 1",
 		"fleet_quorum_ok 1",
 	} {

@@ -290,25 +290,46 @@ func (t Table) validate() error {
 	return nil
 }
 
-// EncodeHeartbeat serializes a heartbeat.
-func EncodeHeartbeat(h Heartbeat) ([]byte, error) {
-	if err := h.validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(h)
+// Every control message but the table goes through one codec: each type
+// checks itself (validate), and encode and decode run that check on every
+// message written and read. The table has its own pair because its profile
+// travels in row form.
+type message interface {
+	Heartbeat | Report | MachineOp | Claim | ClaimReply | fenceMark
+	validate() error
 }
 
-// DecodeHeartbeat parses and validates a heartbeat.
-func DecodeHeartbeat(data []byte) (Heartbeat, error) {
-	var h Heartbeat
-	if err := decodeStrict(data, &h); err != nil {
-		return Heartbeat{}, err
-	}
-	if err := h.validate(); err != nil {
-		return Heartbeat{}, err
-	}
-	return h, nil
+// fenceMark is a replica's installed (epoch, version), the body of its 409
+// answer to a stale table.
+type fenceMark struct {
+	Epoch   uint64 `json:"epoch"`
+	Version uint64 `json:"version"`
 }
+
+func encode[T message](m T) ([]byte, error) {
+	if err := m.validate(); err != nil {
+		return nil, err
+	}
+	return json.Marshal(m)
+}
+
+// decode parses one T strictly (decodeStrict) and checks it; on error it
+// returns the zero T.
+func decode[T message](data []byte) (T, error) {
+	var m T
+	err := decodeStrict(data, &m)
+	if err == nil {
+		err = m.validate()
+	}
+	if err != nil {
+		return *new(T), err
+	}
+	return m, nil
+}
+
+// EncodeMachineOp serializes a membership operation for POST
+// /fleet/machines.
+func EncodeMachineOp(op MachineOp) ([]byte, error) { return encode(op) }
 
 func (h Heartbeat) validate() error {
 	if h.ID < 0 {
@@ -318,26 +339,6 @@ func (h Heartbeat) validate() error {
 		return fmt.Errorf("fleet: invalid leader id %d", h.Leader)
 	}
 	return nil
-}
-
-// EncodeReport serializes a report.
-func EncodeReport(r Report) ([]byte, error) {
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(r)
-}
-
-// DecodeReport parses and validates a report.
-func DecodeReport(data []byte) (Report, error) {
-	var r Report
-	if err := decodeStrict(data, &r); err != nil {
-		return Report{}, err
-	}
-	if err := r.validate(); err != nil {
-		return Report{}, err
-	}
-	return r, nil
 }
 
 func (r Report) validate() error {
@@ -357,26 +358,6 @@ func (r Report) validate() error {
 	return nil
 }
 
-// EncodeMachineOp serializes a membership operation.
-func EncodeMachineOp(op MachineOp) ([]byte, error) {
-	if err := op.validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(op)
-}
-
-// DecodeMachineOp parses and validates a membership operation.
-func DecodeMachineOp(data []byte) (MachineOp, error) {
-	var op MachineOp
-	if err := decodeStrict(data, &op); err != nil {
-		return MachineOp{}, err
-	}
-	if err := op.validate(); err != nil {
-		return MachineOp{}, err
-	}
-	return op, nil
-}
-
 func (op MachineOp) validate() error {
 	if op.Op != "join" && op.Op != "leave" {
 		return fmt.Errorf("fleet: unknown machine op %q", op.Op)
@@ -385,26 +366,6 @@ func (op MachineOp) validate() error {
 		return fmt.Errorf("fleet: machine op without URL")
 	}
 	return nil
-}
-
-// EncodeClaim serializes a leadership claim.
-func EncodeClaim(c Claim) ([]byte, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(c)
-}
-
-// DecodeClaim parses and validates a leadership claim.
-func DecodeClaim(data []byte) (Claim, error) {
-	var c Claim
-	if err := decodeStrict(data, &c); err != nil {
-		return Claim{}, err
-	}
-	if err := c.validate(); err != nil {
-		return Claim{}, err
-	}
-	return c, nil
 }
 
 func (c Claim) validate() error {
@@ -417,14 +378,14 @@ func (c Claim) validate() error {
 	return nil
 }
 
-// EncodeClaimReply serializes a claim answer.
-func EncodeClaimReply(r ClaimReply) ([]byte, error) { return json.Marshal(r) }
-
-// DecodeClaimReply parses a claim answer.
-func DecodeClaimReply(data []byte) (ClaimReply, error) {
-	var r ClaimReply
-	if err := decodeStrict(data, &r); err != nil {
-		return ClaimReply{}, err
+// validate: a peer answers only claims for generation 1 or later, and its
+// answer names a generation at least that high.
+func (r ClaimReply) validate() error {
+	if r.Gen == 0 {
+		return fmt.Errorf("fleet: claim reply for generation 0")
 	}
-	return r, nil
+	return nil
 }
+
+// validate: every (epoch, version) is a mark some table could carry.
+func (fenceMark) validate() error { return nil }

@@ -159,27 +159,27 @@ func TestDecodeTableRejectsMalformed(t *testing.T) {
 
 func TestHeartbeatReportOpRoundTrip(t *testing.T) {
 	hb := Heartbeat{ID: 2, Epoch: 5, Version: 9, Leader: 0, Draining: true}
-	data, err := EncodeHeartbeat(hb)
+	data, err := encode(hb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := DecodeHeartbeat(data); err != nil || got != hb {
+	if got, err := decode[Heartbeat](data); err != nil || got != hb {
 		t.Fatalf("heartbeat round trip: got %+v err %v", got, err)
 	}
-	if _, err := DecodeHeartbeat([]byte(`{"id": -3}`)); err == nil {
-		t.Error("DecodeHeartbeat accepted a negative node id")
+	if _, err := decode[Heartbeat]([]byte(`{"id": -3}`)); err == nil {
+		t.Error("decode accepted a heartbeat with a negative node id")
 	}
 
 	rep := Report{ID: 1, Arrivals: []float64{3.5, 0}, Weights: []float64{1, 0.25}}
-	data, err = EncodeReport(rep)
+	data, err = encode(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := DecodeReport(data); err != nil || !reflect.DeepEqual(got, rep) {
+	if got, err := decode[Report](data); err != nil || !reflect.DeepEqual(got, rep) {
 		t.Fatalf("report round trip: got %+v err %v", got, err)
 	}
-	if _, err := DecodeReport([]byte(`{"id": 0, "weights": [2]}`)); err == nil {
-		t.Error("DecodeReport accepted a weight above 1")
+	if _, err := decode[Report]([]byte(`{"id": 0, "weights": [2]}`)); err == nil {
+		t.Error("decode accepted a report with a weight above 1")
 	}
 
 	op := MachineOp{Op: "leave", URL: "http://127.0.0.1:1001"}
@@ -187,17 +187,59 @@ func TestHeartbeatReportOpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := DecodeMachineOp(data); err != nil || got != op {
+	if got, err := decode[MachineOp](data); err != nil || got != op {
 		t.Fatalf("machine op round trip: got %+v err %v", got, err)
 	}
-	if _, err := DecodeMachineOp([]byte(`{"op": "explode", "url": "x"}`)); err == nil {
-		t.Error("DecodeMachineOp accepted an unknown op")
+	if _, err := decode[MachineOp]([]byte(`{"op": "explode", "url": "x"}`)); err == nil {
+		t.Error("decode accepted an unknown machine op")
+	}
+
+	// The claim exchange and the 409 fence mark share the codec.
+	if got, err := decode[Claim]([]byte(`{"id":1,"gen":4}`)); err != nil || got != (Claim{ID: 1, Gen: 4}) {
+		t.Fatalf("claim: got %+v err %v", got, err)
+	}
+	if _, err := decode[Claim]([]byte(`{"id":1,"gen":0}`)); err == nil {
+		t.Error("decode accepted a claim for generation 0")
+	}
+	if got, err := decode[ClaimReply]([]byte(`{"granted":false,"gen":7}`)); err != nil || got != (ClaimReply{Gen: 7}) {
+		t.Fatalf("claim reply: got %+v err %v", got, err)
+	}
+	if _, err := decode[ClaimReply]([]byte(`{"granted":true,"gen":0}`)); err == nil {
+		t.Error("decode accepted a claim reply for generation 0")
+	}
+	if got, err := decode[fenceMark]([]byte(`{"epoch":2,"version":3}`)); err != nil || got != (fenceMark{Epoch: 2, Version: 3}) {
+		t.Fatalf("fence mark: got %+v err %v", got, err)
+	}
+	// Decoding is strict for every message: unknown fields and trailing
+	// data are refused, and a refused message decodes to the zero value.
+	if got, err := decode[fenceMark]([]byte(`{"epoch":2,"status":"x"}`)); err == nil || got != (fenceMark{}) {
+		t.Errorf("decode of a fence mark with an unknown field: got %+v err %v", got, err)
+	}
+	if _, err := decode[Claim]([]byte(`{"id":1,"gen":4} {}`)); err == nil {
+		t.Error("decode accepted a claim with trailing data")
 	}
 }
 
-// FuzzFleetWire drives the control-plane codec with arbitrary bytes: the
-// decoders must never panic, must reject malformed input, and anything they
-// do accept must survive an encode/decode round trip unchanged.
+// roundTrip is FuzzFleetWire's check for one message type: whatever decode
+// accepts must encode and decode back to itself.
+func roundTrip[T message](t *testing.T, data []byte) {
+	m, err := decode[T](data)
+	if err != nil {
+		return
+	}
+	out, err := encode(m)
+	if err != nil {
+		t.Fatalf("decoded %T does not re-encode: %v", m, err)
+	}
+	if again, err := decode[T](out); err != nil || !reflect.DeepEqual(again, m) {
+		t.Fatalf("%T round trip mismatch: %+v vs %+v (%v)", m, again, m, err)
+	}
+}
+
+// FuzzFleetWire drives the control-plane codecs, the table's and the
+// generic one for every other message, with arbitrary bytes: the decoders
+// must never panic, must reject malformed input, and anything they do
+// accept must survive an encode/decode round trip unchanged.
 func FuzzFleetWire(f *testing.F) {
 	// Tables in row form: shared rows, all-distinct rows, and wire forms
 	// the decoder must refuse (an index outside the rows, a dense profile).
@@ -218,18 +260,20 @@ func FuzzFleetWire(f *testing.F) {
 	}
 	f.Add([]byte(`{"epoch":1,"version":1,"leader":0,"machines":[{"url":"a","rate":1,"active":true}],` +
 		`"arrivals":[1],"admit_frac":1,"offered_rate":0,"profile":[[1]]}`))
-	if data, err := EncodeHeartbeat(Heartbeat{ID: 1, Leader: -1}); err == nil {
+	if data, err := encode(Heartbeat{ID: 1, Leader: -1}); err == nil {
 		f.Add(data)
 	}
-	if data, err := EncodeReport(Report{ID: 0, Arrivals: []float64{1}}); err == nil {
+	if data, err := encode(Report{ID: 0, Arrivals: []float64{1}}); err == nil {
 		f.Add(data)
 	}
-	if data, err := EncodeMachineOp(MachineOp{Op: "join", URL: "http://b"}); err == nil {
+	if data, err := encode(MachineOp{Op: "join", URL: "http://b"}); err == nil {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"epoch": 18446744073709551615}`))
 	f.Add([]byte(`{"machines": [{"url": "a", "rate": 1e308}]}`))
 	f.Add([]byte("not json at all"))
+	f.Add([]byte(`{"id":2,"gen":9}`))
+	f.Add([]byte(`{"granted":true,"gen":9}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if tab, err := DecodeTable(data); err == nil {
@@ -245,32 +289,11 @@ func FuzzFleetWire(f *testing.F) {
 				t.Fatalf("table round trip mismatch: %+v vs %+v", again, tab)
 			}
 		}
-		if hb, err := DecodeHeartbeat(data); err == nil {
-			out, err := EncodeHeartbeat(hb)
-			if err != nil {
-				t.Fatalf("decoded heartbeat does not re-encode: %v", err)
-			}
-			if again, err := DecodeHeartbeat(out); err != nil || again != hb {
-				t.Fatalf("heartbeat round trip mismatch: %+v vs %+v (%v)", again, hb, err)
-			}
-		}
-		if rep, err := DecodeReport(data); err == nil {
-			out, err := EncodeReport(rep)
-			if err != nil {
-				t.Fatalf("decoded report does not re-encode: %v", err)
-			}
-			if again, err := DecodeReport(out); err != nil || !reflect.DeepEqual(again, rep) {
-				t.Fatalf("report round trip mismatch: %+v vs %+v (%v)", again, rep, err)
-			}
-		}
-		if op, err := DecodeMachineOp(data); err == nil {
-			out, err := EncodeMachineOp(op)
-			if err != nil {
-				t.Fatalf("decoded op does not re-encode: %v", err)
-			}
-			if again, err := DecodeMachineOp(out); err != nil || again != op {
-				t.Fatalf("op round trip mismatch: %+v vs %+v (%v)", again, op, err)
-			}
-		}
+		roundTrip[Heartbeat](t, data)
+		roundTrip[Report](t, data)
+		roundTrip[MachineOp](t, data)
+		roundTrip[Claim](t, data)
+		roundTrip[ClaimReply](t, data)
+		roundTrip[fenceMark](t, data)
 	})
 }

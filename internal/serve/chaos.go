@@ -407,22 +407,6 @@ func (c *Crasher) Restart() error {
 	return nil
 }
 
-// ScheduleOutage crashes the backend after crashAfter and restarts it
-// downFor later, from a background goroutine. The returned channel closes
-// once the restart has completed (or an attempt failed), so tests can
-// synchronize on the recovery edge.
-func (c *Crasher) ScheduleOutage(crashAfter, downFor time.Duration) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		time.Sleep(crashAfter)
-		_ = c.Crash()
-		time.Sleep(downFor)
-		_ = c.Restart()
-	}()
-	return done
-}
-
 // Close tears the crasher down for good.
 func (c *Crasher) Close() error {
 	return c.Crash()

@@ -306,22 +306,3 @@ func TestCrasherKillsAndRevives(t *testing.T) {
 		t.Fatal("restarted backend has no served work")
 	}
 }
-
-func TestCrasherScheduleOutage(t *testing.T) {
-	c, err := NewCrasher(BackendConfig{Rate: 500, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	client := &http.Client{Timeout: time.Second}
-
-	done := c.ScheduleOutage(50*time.Millisecond, 100*time.Millisecond)
-	testutil.WaitFor(t, 2*time.Second, "backend never crashed", func() bool {
-		_, err := chaosGet(t, client, c.URL()+"/healthz")
-		return err != nil
-	})
-	<-done
-	if status, err := chaosGet(t, client, c.URL()+"/healthz"); err != nil || status != http.StatusOK {
-		t.Fatalf("post-outage: status %d err %v", status, err)
-	}
-}

@@ -92,7 +92,9 @@ type GatewayConfig struct {
 	// DegradedRho is the utilization ceiling enforced by degraded-mode
 	// admission: when the offered load is infeasible for the surviving
 	// capacity, the gateway admits only DegradedRho × capacity requests/s
-	// and sheds the rest with 503 + Retry-After (default 0.9).
+	// and sheds the rest with 503 + Retry-After. It must lie in (0, 0.95),
+	// below the saturation threshold at which shedding starts; other
+	// values fall back to the default 0.9.
 	DegradedRho float64
 
 	// MaxIdleConnsPerHost caps each backend's idle connections, both the
@@ -300,7 +302,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			cfg.RampSteps = 3
 		}
 	}
-	if cfg.DegradedRho <= 0 || cfg.DegradedRho >= 1 {
+	// From the saturation threshold up, a shedding table could admit more
+	// than the offered load (AdmitFrac > 1).
+	if cfg.DegradedRho <= 0 || cfg.DegradedRho >= saturationRho {
 		cfg.DegradedRho = 0.9
 	}
 	if cfg.MaxIdleConnsPerHost <= 0 {

@@ -305,3 +305,25 @@ func TestSolveTableDigests(t *testing.T) {
 		t.Errorf("fleet grid digest %s over %d cases, want %s", got, len(outs), wantFleet)
 	}
 }
+
+// TestDegradedRhoBelowSaturation: a DegradedRho at or above saturationRho
+// would make a shedding table admit more than the offered load, so the
+// gateway takes the 0.9 default instead, as it does for values of 1 and
+// more. On 2 × 50/s machines with 96/s offered, 0.99 would have admitted
+// 1.03125 of the offered load.
+func TestDegradedRhoBelowSaturation(t *testing.T) {
+	for _, rho := range []float64{0.95, 0.99, 1, 0} {
+		g := gridGateway(t, solveCase{rates: []float64{50, 50}, arrivals: []float64{48, 48}, rho: rho})
+		tab, err := g.SolveTable([]float64{48, 48}, nil, nil)
+		if err != nil {
+			t.Fatalf("DegradedRho %v: %v", rho, err)
+		}
+		if want := 0.9 * 100 / 96; tab.AdmitFrac != want {
+			t.Errorf("DegradedRho %v: admit fraction %v, want the default's %v", rho, tab.AdmitFrac, want)
+		}
+	}
+	g := gridGateway(t, solveCase{rates: []float64{50, 50}, arrivals: []float64{48, 48}, rho: 0.94})
+	if tab, err := g.SolveTable([]float64{48, 48}, nil, nil); err != nil || tab.AdmitFrac != 0.94*100/96 {
+		t.Errorf("DegradedRho 0.94: admit fraction %v (%v), want %v", tab.AdmitFrac, err, 0.94*100/96)
+	}
+}
