@@ -30,10 +30,10 @@
 //	         [-seed 2002]
 //
 // Its endpoints: /work upgrades to the gateway's binary work hop
-// (nashlb-work/1: 8-byte request frames, 17-byte replies, one job per
-// frame) and answers a plain request 426; /queue reports the current
-// depth; /healthz is a liveness probe. Gateway and backends must run the
-// same build: an older backend fails the upgrade.
+// (nashlb-work/2: 9-byte job or status request frames, 17-byte replies)
+// and answers a plain request 426; /healthz is a liveness probe for
+// process supervisors. Gateway and backends must run the same build: an
+// older backend fails the upgrade.
 //
 // Fleet mode (-fleet) runs this gateway as one replica of a nashgate fleet:
 // N gateways serve concurrently over the same backend universe, elect a

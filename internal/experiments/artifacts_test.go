@@ -55,3 +55,56 @@ func TestCommittedBenchSections(t *testing.T) {
 		t.Fatalf("BENCH_core.json ext11 holds %q with %d points", ext11.Experiment, len(ext11.Points))
 	}
 }
+
+// TestServeBenchJSONReproducesCommittedSections decodes each serving section
+// of the committed BENCH_serve.json strictly into its result type and
+// re-encodes the four through ServeBenchJSON: every section must come back
+// unchanged, so the result types carry exactly the committed keys, in the
+// committed order.
+func TestServeBenchJSONReproducesCommittedSections(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_serve.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		ext8  Ext8Result
+		ext9  Ext9Result
+		ext10 Ext10Result
+		ext12 Ext12Result
+	)
+	sections := map[string]any{
+		"ext8_live_serving": &ext8,
+		"ext9_self_healing": &ext9,
+		"ext10_fleet":       &ext10,
+		"ext12_partition":   &ext12,
+	}
+	for key, res := range sections {
+		if err := decodeStrict(committed[key], res); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+	}
+	out, err := ServeBenchJSON(&ext8, &ext9, &ext10, &ext12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written map[string]json.RawMessage
+	if err := json.Unmarshal(out, &written); err != nil {
+		t.Fatal(err)
+	}
+	for key := range sections {
+		var want, got bytes.Buffer
+		if err := json.Indent(&want, committed[key], "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Indent(&got, written[key], "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s re-encodes as\n%s\nwant\n%s", key, got.Bytes(), want.Bytes())
+		}
+	}
+}

@@ -42,48 +42,50 @@ const (
 // Ext10Row is one control-plane fault scenario's outcome across the fleet.
 type Ext10Row struct {
 	// Scenario names the injected control-plane fault pattern.
-	Scenario string
+	Scenario string `json:"scenario"`
 	// Sent, OK, Shed and Failed count post-warmup requests fleet-wide:
 	// everything issued, 200s, degraded-mode 503s (Retry-After), and hard
 	// failures (transport errors after client failover, 5xx, timeouts).
-	Sent   int64
-	OK     int64
-	Shed   int64
-	Failed int64
+	Sent   int64 `json:"sent"`
+	OK     int64 `json:"ok"`
+	Shed   int64 `json:"shed"`
+	Failed int64 `json:"failed"`
 	// Availability is the well-formed-answer rate (OK + Shed) / Sent: a
 	// deliberate shed is the control plane working, not an outage.
-	Availability float64
+	Availability float64 `json:"availability"`
 	// MeanSeconds is the mean response time of OK requests.
-	MeanSeconds float64
+	MeanSeconds float64 `json:"mean_seconds"`
 	// Failovers counts client-side transport failovers between gateways
 	// (requests a dead gateway refused that a survivor then served).
-	Failovers int64
+	Failovers int64 `json:"failovers"`
 	// Elections sums leadership assumptions across the whole fleet;
 	// FinalEpoch is the highest table epoch installed on any survivor.
-	Elections  int64
-	FinalEpoch uint64
+	Elections  int64  `json:"elections"`
+	FinalEpoch uint64 `json:"final_epoch"`
 	// RecoverSeconds is the time from the leader kill until every survivor
 	// had re-elected and installed a new reign's table (negative when the
 	// scenario kills nobody).
-	RecoverSeconds float64
+	RecoverSeconds float64 `json:"recover_seconds"`
 	// SplitDevPost is the equilibrium-recovery measure: the largest
 	// per-backend deviation between the fleet's aggregate routing split
 	// over the post-fault window and the full-game Nash fractions.
 	// PostSamples is that window's request count.
-	SplitDevPost float64
-	PostSamples  int64
+	SplitDevPost float64 `json:"split_dev_post"`
+	PostSamples  int64   `json:"post_samples"`
 }
 
-// Ext10Result is the fleet fault grid.
+// Ext10Result is the fleet fault grid. Its JSON form is the ext10_fleet
+// section of BENCH_serve.json.
 type Ext10Result struct {
-	Rates    []float64
-	Arrivals []float64
-	Gateways int
+	Experiment string    `json:"experiment"`
+	Rates      []float64 `json:"rates"`
+	Arrivals   []float64 `json:"arrivals"`
+	Gateways   int       `json:"gateways"`
 	// Predicted is the fault-free closed-form D(s) at the full-game Nash.
-	Predicted float64
+	Predicted float64 `json:"predicted_seconds"`
 	// WindowSeconds is each scenario's measured window.
-	WindowSeconds float64
-	Rows          []Ext10Row
+	WindowSeconds float64    `json:"window_seconds"`
+	Rows          []Ext10Row `json:"scenarios"`
 }
 
 // ext10Scenario places one scenario's events as fractions of the window:
@@ -142,6 +144,7 @@ func Ext10(seed uint64, quick bool) (*Ext10Result, error) {
 	}
 
 	res := &Ext10Result{
+		Experiment:    "ext10_fleet",
 		Rates:         append([]float64(nil), ext10Rates...),
 		Arrivals:      append([]float64(nil), ext10Arrivals...),
 		Gateways:      ext10Gateways,
@@ -407,60 +410,4 @@ func (r *Ext10Result) Table() *report.Table {
 		)
 	}
 	return t
-}
-
-// ext10Bench is the machine-readable shape of an EXT10 run.
-type ext10Bench struct {
-	Experiment    string       `json:"experiment"`
-	Rates         []float64    `json:"rates"`
-	Arrivals      []float64    `json:"arrivals"`
-	Gateways      int          `json:"gateways"`
-	Predicted     float64      `json:"predicted_seconds"`
-	WindowSeconds float64      `json:"window_seconds"`
-	Scenarios     []ext10Entry `json:"scenarios"`
-}
-
-type ext10Entry struct {
-	Scenario       string  `json:"scenario"`
-	Sent           int64   `json:"sent"`
-	OK             int64   `json:"ok"`
-	Shed           int64   `json:"shed"`
-	Failed         int64   `json:"failed"`
-	Availability   float64 `json:"availability"`
-	MeanSeconds    float64 `json:"mean_seconds"`
-	Failovers      int64   `json:"failovers"`
-	Elections      int64   `json:"elections"`
-	FinalEpoch     uint64  `json:"final_epoch"`
-	RecoverSeconds float64 `json:"recover_seconds"`
-	SplitDevPost   float64 `json:"split_dev_post"`
-	PostSamples    int64   `json:"post_samples"`
-}
-
-func (r *Ext10Result) bench() ext10Bench {
-	out := ext10Bench{
-		Experiment:    "ext10_fleet",
-		Rates:         r.Rates,
-		Arrivals:      r.Arrivals,
-		Gateways:      r.Gateways,
-		Predicted:     r.Predicted,
-		WindowSeconds: r.WindowSeconds,
-	}
-	for _, row := range r.Rows {
-		out.Scenarios = append(out.Scenarios, ext10Entry{
-			Scenario:       row.Scenario,
-			Sent:           row.Sent,
-			OK:             row.OK,
-			Shed:           row.Shed,
-			Failed:         row.Failed,
-			Availability:   row.Availability,
-			MeanSeconds:    row.MeanSeconds,
-			Failovers:      row.Failovers,
-			Elections:      row.Elections,
-			FinalEpoch:     row.FinalEpoch,
-			RecoverSeconds: row.RecoverSeconds,
-			SplitDevPost:   row.SplitDevPost,
-			PostSamples:    row.PostSamples,
-		})
-	}
-	return out
 }

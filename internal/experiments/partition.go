@@ -29,45 +29,47 @@ import (
 // Ext12Row is one partition scenario's outcome.
 type Ext12Row struct {
 	// Scenario names the injected fault pattern.
-	Scenario string
+	Scenario string `json:"scenario"`
 	// Sent, OK, Shed, Failed and Availability are the fleet-wide request
 	// accounting of EXT10: availability counts well-formed answers
 	// (OK + deliberate sheds) over everything sent.
-	Sent         int64
-	OK           int64
-	Shed         int64
-	Failed       int64
-	Availability float64
+	Sent         int64   `json:"sent"`
+	OK           int64   `json:"ok"`
+	Shed         int64   `json:"shed"`
+	Failed       int64   `json:"failed"`
+	Availability float64 `json:"availability"`
 	// MeanSeconds is the mean response time of OK requests; Failovers counts
 	// client-side transport failovers between gateways.
-	MeanSeconds float64
-	Failovers   int64
+	MeanSeconds float64 `json:"mean_seconds"`
+	Failovers   int64   `json:"failovers"`
 	// Elections sums leadership assumptions fleet-wide; FinalEpoch is the
 	// highest table epoch installed on any node at the end.
-	Elections  int64
-	FinalEpoch uint64
+	Elections  int64  `json:"elections"`
+	FinalEpoch uint64 `json:"final_epoch"`
 	// FailoverSeconds is the time from the fault (partition start, or the
 	// crashed node's restart in the compound scenario) until the majority
 	// side had a leader and a strictly newer epoch installed (-1 when the
 	// scenario deposes nobody).
-	FailoverSeconds float64
+	FailoverSeconds float64 `json:"failover_seconds"`
 	// QuorumLossObserved reports whether some node correctly dropped into
 	// degraded minority mode during the scenario.
-	QuorumLossObserved bool
+	QuorumLossObserved bool `json:"quorum_loss_observed"`
 	// AuditEvents and AuditViolations are the safety checker's verdict over
 	// the scenario's full control-plane trace; any violation is a bug.
-	AuditEvents     int
-	AuditViolations int
+	AuditEvents     int `json:"audit_events"`
+	AuditViolations int `json:"audit_violations"`
 }
 
-// Ext12Result is the partition fault grid.
+// Ext12Result is the partition fault grid. Its JSON form is the
+// ext12_partition section of BENCH_serve.json.
 type Ext12Result struct {
-	Rates    []float64
-	Arrivals []float64
-	Gateways int
+	Experiment string    `json:"experiment"`
+	Rates      []float64 `json:"rates"`
+	Arrivals   []float64 `json:"arrivals"`
+	Gateways   int       `json:"gateways"`
 	// WindowSeconds is each scenario's measured window.
-	WindowSeconds float64
-	Rows          []Ext12Row
+	WindowSeconds float64    `json:"window_seconds"`
+	Rows          []Ext12Row `json:"scenarios"`
 }
 
 // ext12Scenario schedules one scenario's faults as fractions of the window.
@@ -110,6 +112,7 @@ func Ext12(seed uint64, quick bool) (*Ext12Result, error) {
 			crash: true, crashID: 1, crashFrac: 0.3, restartFrac: 0.5, deposes: true},
 	}
 	res := &Ext12Result{
+		Experiment:    "ext12_partition",
 		Rates:         append([]float64(nil), ext10Rates...),
 		Arrivals:      append([]float64(nil), ext10Arrivals...),
 		Gateways:      ext10Gateways,
@@ -417,60 +420,4 @@ func (r *Ext12Result) Table() *report.Table {
 		)
 	}
 	return t
-}
-
-// ext12Bench is the machine-readable shape of an EXT12 run.
-type ext12Bench struct {
-	Experiment    string       `json:"experiment"`
-	Rates         []float64    `json:"rates"`
-	Arrivals      []float64    `json:"arrivals"`
-	Gateways      int          `json:"gateways"`
-	WindowSeconds float64      `json:"window_seconds"`
-	Scenarios     []ext12Entry `json:"scenarios"`
-}
-
-type ext12Entry struct {
-	Scenario           string  `json:"scenario"`
-	Sent               int64   `json:"sent"`
-	OK                 int64   `json:"ok"`
-	Shed               int64   `json:"shed"`
-	Failed             int64   `json:"failed"`
-	Availability       float64 `json:"availability"`
-	MeanSeconds        float64 `json:"mean_seconds"`
-	Failovers          int64   `json:"failovers"`
-	Elections          int64   `json:"elections"`
-	FinalEpoch         uint64  `json:"final_epoch"`
-	FailoverSeconds    float64 `json:"failover_seconds"`
-	QuorumLossObserved bool    `json:"quorum_loss_observed"`
-	AuditEvents        int     `json:"audit_events"`
-	AuditViolations    int     `json:"audit_violations"`
-}
-
-func (r *Ext12Result) bench() ext12Bench {
-	out := ext12Bench{
-		Experiment:    "ext12_partition",
-		Rates:         r.Rates,
-		Arrivals:      r.Arrivals,
-		Gateways:      r.Gateways,
-		WindowSeconds: r.WindowSeconds,
-	}
-	for _, row := range r.Rows {
-		out.Scenarios = append(out.Scenarios, ext12Entry{
-			Scenario:           row.Scenario,
-			Sent:               row.Sent,
-			OK:                 row.OK,
-			Shed:               row.Shed,
-			Failed:             row.Failed,
-			Availability:       row.Availability,
-			MeanSeconds:        row.MeanSeconds,
-			Failovers:          row.Failovers,
-			Elections:          row.Elections,
-			FinalEpoch:         row.FinalEpoch,
-			FailoverSeconds:    row.FailoverSeconds,
-			QuorumLossObserved: row.QuorumLossObserved,
-			AuditEvents:        row.AuditEvents,
-			AuditViolations:    row.AuditViolations,
-		})
-	}
-	return out
 }

@@ -35,36 +35,38 @@ const ext9FaultIdx = 0
 // Ext9Row is one fault scenario's client-visible outcome.
 type Ext9Row struct {
 	// Scenario names the injected fault pattern.
-	Scenario string
+	Scenario string `json:"scenario"`
 	// Sent, OK, Shed and Failed count post-warmup requests: everything
 	// issued, 200s, degraded-mode 503s (Retry-After), and hard failures
 	// (transport errors, 5xx).
-	Sent   int64
-	OK     int64
-	Shed   int64
-	Failed int64
+	Sent   int64 `json:"sent"`
+	OK     int64 `json:"ok"`
+	Shed   int64 `json:"shed"`
+	Failed int64 `json:"failed"`
 	// Availability is OK / Sent.
-	Availability float64
+	Availability float64 `json:"availability"`
 	// MeanSeconds is the mean response time of OK requests.
-	MeanSeconds float64
+	MeanSeconds float64 `json:"mean_seconds"`
 	// BreakerOpens and Reequilibrations count breaker trips and
 	// health-driven routing installs over the window.
-	BreakerOpens     int64
-	Reequilibrations int64
+	BreakerOpens     int64 `json:"breaker_opens"`
+	Reequilibrations int64 `json:"reequilibrations"`
 	// FaultyShare is the fraction of served requests the faulty backend
 	// carried (the routing answer to the fault).
-	FaultyShare float64
+	FaultyShare float64 `json:"faulty_share"`
 }
 
-// Ext9Result is the self-healing fault grid over the live gateway.
+// Ext9Result is the self-healing fault grid over the live gateway. Its
+// JSON form is the ext9_self_healing section of BENCH_serve.json.
 type Ext9Result struct {
-	Rates    []float64
-	Arrivals []float64
+	Experiment string    `json:"experiment"`
+	Rates      []float64 `json:"rates"`
+	Arrivals   []float64 `json:"arrivals"`
 	// Predicted is the fault-free closed-form D(s) at the Nash profile.
-	Predicted float64
+	Predicted float64 `json:"predicted_seconds"`
 	// WindowSeconds is each scenario's measured window.
-	WindowSeconds float64
-	Rows          []Ext9Row
+	WindowSeconds float64   `json:"window_seconds"`
+	Rows          []Ext9Row `json:"scenarios"`
 }
 
 // ext9Scenario describes one grid cell: the chaos schedule installed on the
@@ -117,6 +119,7 @@ func Ext9(seed uint64, quick bool) (*Ext9Result, error) {
 	}
 
 	res := &Ext9Result{
+		Experiment:    "ext9_self_healing",
 		Rates:         append([]float64(nil), ext9Rates...),
 		Arrivals:      append([]float64(nil), ext9Arrivals...),
 		Predicted:     sys.OverallResponseTime(profile),
@@ -248,54 +251,6 @@ func (r *Ext9Result) Table() *report.Table {
 	return t
 }
 
-// ext9Bench is the machine-readable shape of an EXT9 run.
-type ext9Bench struct {
-	Experiment    string      `json:"experiment"`
-	Rates         []float64   `json:"rates"`
-	Arrivals      []float64   `json:"arrivals"`
-	Predicted     float64     `json:"predicted_seconds"`
-	WindowSeconds float64     `json:"window_seconds"`
-	Scenarios     []ext9Entry `json:"scenarios"`
-}
-
-type ext9Entry struct {
-	Scenario         string  `json:"scenario"`
-	Sent             int64   `json:"sent"`
-	OK               int64   `json:"ok"`
-	Shed             int64   `json:"shed"`
-	Failed           int64   `json:"failed"`
-	Availability     float64 `json:"availability"`
-	MeanSeconds      float64 `json:"mean_seconds"`
-	BreakerOpens     int64   `json:"breaker_opens"`
-	Reequilibrations int64   `json:"reequilibrations"`
-	FaultyShare      float64 `json:"faulty_share"`
-}
-
-func (r *Ext9Result) bench() ext9Bench {
-	out := ext9Bench{
-		Experiment:    "ext9_self_healing",
-		Rates:         r.Rates,
-		Arrivals:      r.Arrivals,
-		Predicted:     r.Predicted,
-		WindowSeconds: r.WindowSeconds,
-	}
-	for _, row := range r.Rows {
-		out.Scenarios = append(out.Scenarios, ext9Entry{
-			Scenario:         row.Scenario,
-			Sent:             row.Sent,
-			OK:               row.OK,
-			Shed:             row.Shed,
-			Failed:           row.Failed,
-			Availability:     row.Availability,
-			MeanSeconds:      row.MeanSeconds,
-			BreakerOpens:     row.BreakerOpens,
-			Reequilibrations: row.Reequilibrations,
-			FaultyShare:      row.FaultyShare,
-		})
-	}
-	return out
-}
-
 // serveBenchSchema is the BENCH_serve.json schema version ServeBenchJSON
 // writes: one key per serving experiment, plus the "throughput" key merged
 // in afterwards by cmd/benchjson -serve. Schema 5 added ext12_partition to
@@ -304,33 +259,16 @@ const serveBenchSchema = 5
 
 // serveBench is the document ServeBenchJSON writes.
 type serveBench struct {
-	Schema int         `json:"schema"`
-	Ext8   *ext8Bench  `json:"ext8_live_serving,omitempty"`
-	Ext9   *ext9Bench  `json:"ext9_self_healing,omitempty"`
-	Ext10  *ext10Bench `json:"ext10_fleet,omitempty"`
-	Ext12  *ext12Bench `json:"ext12_partition,omitempty"`
+	Schema int          `json:"schema"`
+	Ext8   *Ext8Result  `json:"ext8_live_serving,omitempty"`
+	Ext9   *Ext9Result  `json:"ext9_self_healing,omitempty"`
+	Ext10  *Ext10Result `json:"ext10_fleet,omitempty"`
+	Ext12  *Ext12Result `json:"ext12_partition,omitempty"`
 }
 
 // ServeBenchJSON combines the EXT8, EXT9, EXT10 and EXT12 results into the
 // BENCH_serve.json document (schema serveBenchSchema). Any result may be
 // nil; its key is then omitted.
 func ServeBenchJSON(ext8 *Ext8Result, ext9 *Ext9Result, ext10 *Ext10Result, ext12 *Ext12Result) ([]byte, error) {
-	doc := serveBench{Schema: serveBenchSchema}
-	if ext8 != nil {
-		b := ext8.bench()
-		doc.Ext8 = &b
-	}
-	if ext9 != nil {
-		b := ext9.bench()
-		doc.Ext9 = &b
-	}
-	if ext10 != nil {
-		b := ext10.bench()
-		doc.Ext10 = &b
-	}
-	if ext12 != nil {
-		b := ext12.bench()
-		doc.Ext12 = &b
-	}
-	return json.MarshalIndent(doc, "", "  ")
+	return json.MarshalIndent(serveBench{Schema: serveBenchSchema, Ext8: ext8, Ext9: ext9, Ext10: ext10, Ext12: ext12}, "", "  ")
 }

@@ -35,35 +35,37 @@ var (
 type Ext8Row struct {
 	// Source names the measurement: "closed form", "simulator" or
 	// "live gateway".
-	Source string
+	Source string `json:"source"`
 	// Overall is the mean response time in seconds (closed form: D(s)).
-	Overall float64
-	// PerUser holds per-user mean response times D_i in seconds.
-	PerUser []float64
-	// Split is the fraction of traffic handled by each computer.
-	Split []float64
-	// Jobs counts measured completions (0 for the closed form).
-	Jobs int64
+	Overall float64 `json:"overall_seconds"`
 	// RelErr is |Overall - closed form| / closed form.
-	RelErr float64
+	RelErr float64 `json:"rel_err"`
 	// MaxSplitDev is the largest |Split_j - equilibrium s_j|.
-	MaxSplitDev float64
+	MaxSplitDev float64 `json:"max_split_dev"`
+	// Jobs counts measured completions (0 for the closed form).
+	Jobs int64 `json:"jobs"`
+	// PerUser holds per-user mean response times D_i in seconds.
+	PerUser []float64 `json:"per_user_seconds"`
+	// Split is the fraction of traffic handled by each computer.
+	Split []float64 `json:"split"`
 }
 
 // Ext8Result compares the three measurement sources on the live-serving
-// system under the solved Nash profile.
+// system under the solved Nash profile. Its JSON form is the
+// ext8_live_serving section of BENCH_serve.json.
 type Ext8Result struct {
-	Rates    []float64
-	Arrivals []float64
-	Profile  game.Profile
+	Experiment string       `json:"experiment"`
+	Rates      []float64    `json:"rates"`
+	Arrivals   []float64    `json:"arrivals"`
+	Profile    game.Profile `json:"-"`
 	// Predicted is the closed-form overall expected response time D(s).
-	Predicted float64
-	// Rows holds closed form, simulator and live gateway, in that order.
-	Rows []Ext8Row
+	Predicted float64 `json:"predicted_seconds"`
 	// SimSeconds and LiveSeconds are the measured windows (simulated
 	// seconds and wall-clock seconds respectively).
-	SimSeconds  float64
-	LiveSeconds float64
+	SimSeconds  float64 `json:"sim_window_seconds"`
+	LiveSeconds float64 `json:"live_window_seconds"`
+	// Rows holds closed form, simulator and live gateway, in that order.
+	Rows []Ext8Row `json:"sources"`
 }
 
 // ext8AggregateSplit returns the equilibrium aggregate traffic fraction per
@@ -113,6 +115,7 @@ func Ext8(seed uint64, quick bool) (*Ext8Result, error) {
 	}
 
 	res := &Ext8Result{
+		Experiment:  "ext8_live_serving",
 		Rates:       append([]float64(nil), ext8Rates...),
 		Arrivals:    append([]float64(nil), ext8Arrivals...),
 		Profile:     profile,
@@ -310,53 +313,8 @@ func (r *Ext8Result) ratesUtilization() float64 {
 	return phi / mu
 }
 
-// ext8Bench is the machine-readable shape of an EXT8 run (BENCH_serve.json).
-type ext8Bench struct {
-	Experiment  string      `json:"experiment"`
-	Rates       []float64   `json:"rates"`
-	Arrivals    []float64   `json:"arrivals"`
-	Predicted   float64     `json:"predicted_seconds"`
-	SimSeconds  float64     `json:"sim_window_seconds"`
-	LiveSeconds float64     `json:"live_window_seconds"`
-	Sources     []ext8Entry `json:"sources"`
-}
-
-type ext8Entry struct {
-	Source      string    `json:"source"`
-	Overall     float64   `json:"overall_seconds"`
-	RelErr      float64   `json:"rel_err"`
-	MaxSplitDev float64   `json:"max_split_dev"`
-	Jobs        int64     `json:"jobs"`
-	PerUser     []float64 `json:"per_user_seconds"`
-	Split       []float64 `json:"split"`
-}
-
 // BenchJSON serializes the run for machine consumption. For the combined
 // BENCH_serve.json document see ServeBenchJSON.
 func (r *Ext8Result) BenchJSON() ([]byte, error) {
-	out := r.bench()
-	return json.MarshalIndent(out, "", "  ")
-}
-
-func (r *Ext8Result) bench() ext8Bench {
-	out := ext8Bench{
-		Experiment:  "ext8_live_serving",
-		Rates:       r.Rates,
-		Arrivals:    r.Arrivals,
-		Predicted:   r.Predicted,
-		SimSeconds:  r.SimSeconds,
-		LiveSeconds: r.LiveSeconds,
-	}
-	for _, row := range r.Rows {
-		out.Sources = append(out.Sources, ext8Entry{
-			Source:      row.Source,
-			Overall:     row.Overall,
-			RelErr:      row.RelErr,
-			MaxSplitDev: row.MaxSplitDev,
-			Jobs:        row.Jobs,
-			PerUser:     row.PerUser,
-			Split:       row.Split,
-		})
-	}
-	return out
+	return json.MarshalIndent(r, "", "  ")
 }

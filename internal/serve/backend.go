@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -39,9 +38,10 @@ type BackendConfig struct {
 // Backend is a single worker node: a server whose /work endpoint upgrades
 // to the binary work-hop protocol (workhop.go) and runs each framed job
 // through a bounded FCFS queue served by one goroutine drawing exponential
-// service times at rate mu — a live M/M/1 station. It reports its queue
-// depth on /queue for the gateway's estimation loop. Backends are
-// embeddable in-process for tests or run standalone via `nashgate -backend`.
+// service times at rate mu — a live M/M/1 station. A status frame reads its
+// queue depth for the gateway's probes and estimation loop; /healthz is for
+// process supervisors. Backends are embeddable in-process for tests or run
+// standalone via `nashgate -backend`.
 type Backend struct {
 	cfg BackendConfig
 
@@ -102,7 +102,6 @@ func (b *Backend) Start() error {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/work", b.handleWork)
-	mux.HandleFunc("/queue", b.handleQueue)
 	mux.HandleFunc("/healthz", b.handleHealthz)
 	b.srv = &http.Server{Handler: mux}
 
@@ -149,9 +148,10 @@ func (b *Backend) handleWork(w http.ResponseWriter, r *http.Request) {
 	b.conns.serve(conn, func() { b.serveFrames(conn, br) })
 }
 
-// serveFrames answers request frames one at a time, each after its job has
-// left the queue. It returns when a read fails: the gateway closed the
-// connection, or Close moved the read deadline into the past.
+// serveFrames answers request frames one at a time: a job frame after its
+// job has left the queue, a status frame at once. It returns when a read
+// fails (the gateway closed the connection, or Close moved the read deadline
+// into the past) or a frame has an unknown kind.
 func (b *Backend) serveFrames(conn net.Conn, r *bufio.Reader) {
 	job := &backendJob{done: make(chan struct{}, 1)}
 	var frame [replyFrameLen]byte
@@ -159,10 +159,15 @@ func (b *Backend) serveFrames(conn net.Conn, r *bufio.Reader) {
 		if _, err := io.ReadFull(r, frame[:requestFrameLen]); err != nil {
 			return
 		}
-		id, _ := decodeRequest(frame[:requestFrameLen]) // the length is exact
-		reply := workReply{ID: id, Status: b.run(job)}
-		if reply.Status == statusOK {
-			reply.Service = job.service.Seconds()
+		id, kind, err := decodeRequest(frame[:requestFrameLen])
+		if err != nil {
+			return
+		}
+		reply := workReply{ID: id}
+		if kind == kindStatus {
+			reply.Status, reply.Value = b.status()
+		} else {
+			reply.Status, reply.Value = b.run(job)
 		}
 		encodeReply(frame[:], reply)
 		if _, err := conn.Write(frame[:]); err != nil {
@@ -171,59 +176,47 @@ func (b *Backend) serveFrames(conn net.Conn, r *bufio.Reader) {
 	}
 }
 
-// run queues job and waits for the worker to finish it. A closing backend
-// and a full queue refuse the job instead.
-func (b *Backend) run(job *backendJob) workStatus {
+// run queues job, waits for the worker to finish it and returns its
+// service seconds. A closing backend and a full queue refuse the job
+// instead.
+func (b *Backend) run(job *backendJob) (workStatus, float64) {
 	b.mu.Lock()
 	switch {
 	case b.closing:
 		b.mu.Unlock()
-		return statusClosing
+		return statusClosing, 0
 	case b.depth >= b.cfg.QueueCap:
 		b.mu.Unlock()
 		b.rejected.Add(1)
-		return statusQueueFull
+		return statusQueueFull, 0
 	}
 	b.depth++
 	b.mu.Unlock()
 	b.jobs <- job // capacity == QueueCap, never blocks
 	<-job.done
-	return statusOK
+	return statusOK, job.service.Seconds()
 }
 
-func (b *Backend) handleQueue(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(QueueStatus{
-		Depth:    b.Depth(),
-		Rate:     b.cfg.Rate,
-		Served:   b.served.Load(),
-		Rejected: b.rejected.Load(),
-	})
-}
-
-// handleHealthz answers the gateway's liveness probe. It deliberately does
-// not consult queue depth: a full queue means "busy", not "down", and the
-// probe must stay cheap — it bypasses the FCFS queue entirely.
-func (b *Backend) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// status answers a status frame without touching the FCFS queue: the jobs
+// in system, or closing while the backend shuts down. A full queue is
+// reported as its depth — busy, not down.
+func (b *Backend) status() (workStatus, float64) {
 	b.mu.Lock()
-	closing := b.closing
-	b.mu.Unlock()
-	if closing {
+	defer b.mu.Unlock()
+	if b.closing {
+		return statusClosing, 0
+	}
+	return statusOK, float64(b.depth)
+}
+
+// handleHealthz answers a process supervisor's liveness check: 503 once
+// the backend is shutting down.
+func (b *Backend) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if s, _ := b.status(); s == statusClosing {
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
 	fmt.Fprintln(w, "ok")
-}
-
-// QueueStatus is the wire form of a backend's /queue report.
-type QueueStatus struct {
-	// Depth is the current number of jobs in system (queue + in service).
-	Depth int `json:"depth"`
-	// Rate echoes the node's service rate mu.
-	Rate float64 `json:"rate"`
-	// Served and Rejected count completed and queue-full jobs.
-	Served   int64 `json:"served"`
-	Rejected int64 `json:"rejected"`
 }
 
 // Addr returns the bound address (empty before Start).

@@ -17,29 +17,29 @@ import (
 // sorted by Start (offset from proxy Start); the last phase whose Start has
 // passed is active. The zero phase is perfectly healthy pass-through.
 //
-// The proxy applies the active phase to every plain HTTP request and to
-// every work-hop frame it relays. A work-hop upgrade itself meets only Down
-// and Blackhole.
+// The proxy applies the active phase to every work-hop frame it relays, job
+// and status frames alike. A work-hop upgrade itself meets only Down and
+// Blackhole.
 type ChaosPhase struct {
 	// Start is when this phase begins, measured from ChaosProxy.Start.
 	Start time.Duration
-	// ErrorRate is the probability an incoming request or frame is answered
-	// with an injected failure (a 500, or a failed reply frame) instead of
-	// being proxied (seeded draw, reproducible).
+	// ErrorRate is the probability an incoming frame is answered with an
+	// injected failure (a failed reply frame) instead of being relayed
+	// (seeded draw, reproducible).
 	ErrorRate float64
-	// Delay is added before proxying each request or frame (tail-latency
-	// injection).
+	// Delay is added before relaying each frame (tail-latency injection).
 	Delay time.Duration
-	// Blackhole holds every request or frame open without answering until
+	// Blackhole holds every upgrade or frame open without answering until
 	// the client gives up — the "accepts connections but never answers"
 	// failure.
 	Blackhole bool
-	// Down kills the connection of each request or frame abruptly (no answer
-	// at all) — the closest a live listener gets to a crashed process.
+	// Down kills the connection of each upgrade or frame abruptly (no
+	// answer at all) — the closest a live listener gets to a crashed
+	// process.
 	Down bool
 }
 
-// ChaosProxyConfig describes an HTTP fault-injection proxy.
+// ChaosProxyConfig describes a work-hop fault-injection proxy.
 type ChaosProxyConfig struct {
 	// Target is the base URL of the real backend being fronted.
 	Target string
@@ -55,12 +55,12 @@ type ChaosProxyConfig struct {
 
 // ChaosProxy sits between the gateway and one backend and injects faults on
 // a deterministic schedule: injected failures, added delay, black holes,
-// and hard connection drops. It proxies plain HTTP (/healthz, /queue)
-// request by request and relays upgraded work-hop connections frame by
-// frame. It is the serving-layer analogue of the dist-layer chaos
-// transport — request and frame faults instead of message faults — and is
-// what the self-healing e2e tests drive: every fault the health layer must
-// survive can be scripted, seeded, and replayed.
+// and hard connection drops. It relays upgraded work-hop connections frame
+// by frame and refuses any other request with 426, as a backend's /work
+// does. It is the serving-layer analogue of the dist-layer chaos transport
+// — frame faults instead of message faults — and is what the self-healing
+// e2e tests drive: every fault the health layer must survive can be
+// scripted, seeded, and replayed.
 type ChaosProxy struct {
 	cfg ChaosProxyConfig
 
@@ -76,12 +76,10 @@ type ChaosProxy struct {
 	mu     sync.Mutex
 	stream *rng.Stream
 
-	injected  int64 // injected failures (500s and failed frames)
+	injected  int64 // injected failures (failed frames)
 	dropped   int64 // connections killed (Down)
-	blackhole int64 // requests and frames held (Blackhole)
-	proxied   int64 // requests and frames passed through
-
-	client *http.Client
+	blackhole int64 // upgrades and frames held (Blackhole)
+	proxied   int64 // frames passed through
 }
 
 // NewChaosProxy validates the configuration and returns an unstarted proxy.
@@ -109,12 +107,6 @@ func NewChaosProxy(cfg ChaosProxyConfig) (*ChaosProxy, error) {
 		target: target,
 		quit:   make(chan struct{}),
 		stream: rng.NewSource(cfg.Seed).Stream("chaos/http"),
-		client: &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     30 * time.Second,
-			},
-		},
 	}, nil
 }
 
@@ -156,7 +148,7 @@ func (p *ChaosProxy) URL() string {
 }
 
 // Counts reports the proxy's tallies: injected failures, killed
-// connections, black-holed requests and frames, and clean pass-throughs.
+// connections, black-holed upgrades and frames, and clean pass-throughs.
 func (p *ChaosProxy) Counts() (injected, dropped, blackholed, proxied int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -195,39 +187,11 @@ func (p *ChaosProxy) handle(w http.ResponseWriter, r *http.Request) {
 		p.tally(&p.blackhole)
 		<-r.Context().Done() // hold until the client gives up
 		return
-	}
-	if wantsWork(r) {
-		p.relay(w, r)
+	case !wantsWork(r):
+		refuseWork(w)
 		return
 	}
-	if p.inject(ph) {
-		http.Error(w, "chaos: injected failure", http.StatusInternalServerError)
-		return
-	}
-	if !p.delay(ph, r.Context().Done()) {
-		return
-	}
-
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, p.cfg.Target+r.URL.RequestURI(), r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	req.Header = r.Header.Clone()
-	resp, err := p.client.Do(req)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("chaos proxy upstream: %v", err), http.StatusBadGateway)
-		return
-	}
-	defer resp.Body.Close()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	p.tally(&p.proxied)
+	p.relay(w, r)
 }
 
 // relay opens a work-hop connection to the target, upgrades the client's
@@ -253,12 +217,17 @@ func (p *ChaosProxy) relay(w http.ResponseWriter, r *http.Request) {
 // relayFrames applies the active phase to each request frame: Down closes
 // the connection unanswered, Blackhole holds it until the client gives up,
 // an injected failure is answered with a failed reply, and everything else
-// goes to the target after the phase's delay. An upstream failure closes
-// the client's connection.
+// goes to the target after the phase's delay. An upstream failure, or a
+// frame of a kind this build does not speak, closes the client's
+// connection.
 func (p *ChaosProxy) relayFrames(client net.Conn, r *bufio.Reader, up net.Conn) {
 	var frame [replyFrameLen]byte
 	for {
 		if _, err := io.ReadFull(r, frame[:requestFrameLen]); err != nil {
+			return
+		}
+		id, _, err := decodeRequest(frame[:requestFrameLen])
+		if err != nil {
 			return
 		}
 		ph := p.phase()
@@ -272,10 +241,9 @@ func (p *ChaosProxy) relayFrames(client net.Conn, r *bufio.Reader, up net.Conn) 
 			return
 		}
 		if p.inject(ph) {
-			id, _ := decodeRequest(frame[:requestFrameLen])
 			encodeReply(frame[:], workReply{ID: id, Status: statusFailed})
 		} else {
-			if !p.delay(ph, p.quit) {
+			if !p.delay(ph) {
 				return
 			}
 			if _, err := up.Write(frame[:requestFrameLen]); err != nil {
@@ -292,7 +260,7 @@ func (p *ChaosProxy) relayFrames(client net.Conn, r *bufio.Reader, up net.Conn) 
 	}
 }
 
-// inject draws whether the phase's error rate fails this request or frame.
+// inject draws whether the phase's error rate fails this frame.
 func (p *ChaosProxy) inject(ph ChaosPhase) bool {
 	if ph.ErrorRate <= 0 {
 		return false
@@ -306,8 +274,8 @@ func (p *ChaosProxy) inject(ph ChaosPhase) bool {
 	return inject
 }
 
-// delay waits out the phase's delay; false when cancel closed first.
-func (p *ChaosProxy) delay(ph ChaosPhase, cancel <-chan struct{}) bool {
+// delay waits out the phase's delay; false when Close came first.
+func (p *ChaosProxy) delay(ph ChaosPhase) bool {
 	if ph.Delay <= 0 {
 		return true
 	}
@@ -316,7 +284,7 @@ func (p *ChaosProxy) delay(ph ChaosPhase, cancel <-chan struct{}) bool {
 	select {
 	case <-t.C:
 		return true
-	case <-cancel:
+	case <-p.quit:
 		return false
 	}
 }
@@ -333,10 +301,9 @@ func (p *ChaosProxy) Close() error {
 		return nil
 	}
 	close(p.quit)
-	err := p.srv.Close() // abrupt: black-holed requests must not block Shutdown
+	err := p.srv.Close() // abrupt: black-holed upgrades must not block Shutdown
 	p.conns.shut(func(c net.Conn) { c.Close() })
 	p.wg.Wait()
-	p.client.CloseIdleConnections()
 	p.srv = nil
 	return err
 }

@@ -57,13 +57,16 @@ func TestChaosProxyPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, r := range replies {
-		if r.ID != uint64(k+1) || r.Status != statusOK || r.Service <= 0 {
+		if r.ID != uint64(k+1) || r.Status != statusOK || r.Value <= 0 {
 			t.Fatalf("healthy relay of frame %d: reply %+v", k+1, r)
 		}
 	}
+	if st, err := statusOf(p.URL(), 5*time.Second); err != nil || st.Status != statusOK {
+		t.Fatalf("status query pass-through: reply %+v, err %v", st, err)
+	}
 	client := &http.Client{Timeout: 5 * time.Second}
-	if status, err := chaosGet(t, client, p.URL()+"/healthz"); err != nil || status != http.StatusOK {
-		t.Fatalf("healthz pass-through: status %d, err %v", status, err)
+	if status, err := chaosGet(t, client, p.URL()+"/healthz"); err != nil || status != http.StatusUpgradeRequired {
+		t.Fatalf("plain GET through the proxy: status %d err %v, want 426", status, err)
 	}
 	injected, dropped, blackholed, proxied := p.Counts()
 	if injected != 0 || dropped != 0 || blackholed != 0 || proxied != 4 {
@@ -90,9 +93,8 @@ func TestChaosProxyErrorInjection(t *testing.T) {
 			t.Fatalf("frame %d: reply %+v, want an injected failure", k+1, r)
 		}
 	}
-	client := &http.Client{Timeout: 5 * time.Second}
-	if status, err := chaosGet(t, client, p.URL()+"/healthz"); err != nil || status != http.StatusInternalServerError {
-		t.Fatalf("healthz: status %d err %v, want injected 500", status, err)
+	if st, err := statusOf(p.URL(), 5*time.Second); err != nil || st.Status != statusFailed {
+		t.Fatalf("status query: reply %+v err %v, want an injected failure", st, err)
 	}
 	if injected, _, _, proxied := p.Counts(); injected != 6 || proxied != 0 {
 		t.Fatalf("injected %d proxied %d, want 6/0", injected, proxied)
@@ -181,9 +183,8 @@ func TestChaosProxyDown(t *testing.T) {
 		Seed:     4,
 		Schedule: []ChaosPhase{{Down: true}},
 	})
-	client := &http.Client{Timeout: 2 * time.Second}
-	if _, err := chaosGet(t, client, p.URL()+"/healthz"); err == nil {
-		t.Fatal("down phase answered a request instead of killing the connection")
+	if st, err := statusOf(p.URL(), 2*time.Second); err == nil {
+		t.Fatalf("down phase answered a status query: %+v", st)
 	}
 	if _, err := workStatusOf(p.URL(), 2*time.Second); err == nil {
 		t.Fatal("down phase let an upgrade through")
@@ -199,7 +200,7 @@ func TestChaosProxyDown(t *testing.T) {
 		Schedule: []ChaosPhase{{Start: 0}, {Start: 50 * time.Millisecond, Down: true}},
 	})
 	c := relayedConn(t, p, 2*time.Second)
-	if r, _, err := c.exchange(1); err == nil {
+	if r, _, err := c.exchange(1, kindJob); err == nil {
 		t.Fatalf("down phase answered a frame: %+v", r)
 	}
 	if _, dropped, _, _ := p.Counts(); dropped != 1 {
@@ -216,7 +217,7 @@ func TestChaosProxyBlackhole(t *testing.T) {
 	})
 	c := relayedConn(t, p, 200*time.Millisecond)
 	start := time.Now()
-	if r, _, err := c.exchange(1); err == nil {
+	if r, _, err := c.exchange(1, kindJob); err == nil {
 		t.Fatalf("black-holed frame got an answer: %+v", r)
 	}
 	if waited := time.Since(start); waited < 150*time.Millisecond {

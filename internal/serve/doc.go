@@ -12,8 +12,10 @@
 //	        → per-backend bounded FCFS queue (exponential work at rate mu_j)
 //	        → metrics (/metrics text format: counters, gauges, log histograms)
 //
-// Closing the paper's loop on measured state, the gateway periodically polls
-// every backend's /queue depth, inverts the depths to load estimates with
+// The work hop carries everything a gateway sends a backend: jobs, health
+// probes and queue-depth reads are frames on the same pooled connections.
+// Closing the paper's loop on measured state, the gateway periodically reads
+// every backend's queue depth, inverts the depths to load estimates with
 // internal/estimate (Remark 2 of the paper), lets one user at a time play a
 // best response via internal/online's balancer, and hot-swaps the routing
 // table atomically — no user ever needs the others' arrival rates.

@@ -46,8 +46,8 @@ type GatewayConfig struct {
 	Burst    float64
 
 	// PollEvery is the re-equilibration period: every tick the gateway
-	// polls all backend /queue depths and feeds the online balancer. Zero
-	// disables the loop (static routing).
+	// reads every backend's queue depth with a status frame and feeds the
+	// online balancer. Zero disables the loop (static routing).
 	PollEvery time.Duration
 	// UpdateEvery plays one user's best response every this many polls
 	// (default 1: one user per tick, the paper's serialized discipline).
@@ -74,10 +74,10 @@ type GatewayConfig struct {
 	RetryBudget float64
 
 	// ProbeEvery enables the backend health layer: every tick each backend
-	// is actively probed on /healthz, probe and request outcomes feed a
-	// per-backend circuit breaker, and breaker trips/recoveries re-solve
-	// the Nash game over the surviving machine set (degraded-mode load
-	// shedding included). Zero disables the layer entirely.
+	// is actively probed with a status frame, probe and request outcomes
+	// feed a per-backend circuit breaker, and breaker trips/recoveries
+	// re-solve the Nash game over the surviving machine set (degraded-mode
+	// load shedding included). Zero disables the layer entirely.
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds each probe attempt (default min(ProbeEvery, 500ms)).
 	ProbeTimeout time.Duration
@@ -97,12 +97,11 @@ type GatewayConfig struct {
 	// values fall back to the default 0.9.
 	DegradedRho float64
 
-	// MaxIdleConnsPerHost caps each backend's idle connections, both the
-	// upgraded work-hop connections jobs are forwarded on (one request at a
-	// time each) and the HTTP keep-alive ones of the /healthz and /queue
-	// polls, so forwarded requests reuse warm connections instead of paying
-	// a dial and upgrade per request (reuse counters are exported on
-	// /metrics). Default 512.
+	// MaxIdleConnsPerHost caps each backend's idle work-hop connections,
+	// which carry jobs, probes and depth polls one request at a time each,
+	// so requests reuse warm connections instead of paying a dial and
+	// upgrade per request (reuse counters are exported on /metrics).
+	// Default 512.
 	MaxIdleConnsPerHost int
 
 	// OnWeights puts the gateway in managed mode: instead of re-solving the
@@ -205,9 +204,8 @@ type Gateway struct {
 	userRng []*rng.Stream
 	bucket  *ShardedTokenBucket
 	met     *gatewayMetrics
-	clients []*http.Client // per backend: /healthz and /queue polls
-	pools   []*workPool    // per backend: upgraded work-hop connections
-	frameID atomic.Uint64  // the last request ID sent on the work hop
+	pools   []*workPool   // per backend: upgraded work-hop connections
+	frameID atomic.Uint64 // the last request ID sent on the work hop
 	// rateOrder holds all backends by descending service rate — the
 	// precomputed last-resort fallback when a user's whole row is dead.
 	rateOrder []int32
@@ -330,35 +328,20 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		ctx:        ctx,
 		cancel:     cancel,
 		quit:       make(chan struct{}),
-		clients:    make([]*http.Client, n),
 		pools:      make([]*workPool, n),
 		rateOrder:  weightOrder(cfg.Rates, false),
 	}
-	// One work pool and one HTTP transport per backend: connection reuse
-	// never competes across backends. Fresh dials are counted where they
-	// happen — off the request hot path — and /metrics derives warm reuses
-	// as attempts minus dials, so reuse accounting costs the forward path
-	// one atomic add.
-	dialer := &net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}
+	// One work pool per backend: connection reuse never competes across
+	// backends. Fresh dials are counted where they happen — off the request
+	// hot path — and /metrics derives warm reuses as attempts minus dials,
+	// so reuse accounting costs each request one atomic add.
 	for j := 0; j < n; j++ {
-		j := j
 		target, err := parseWorkTarget(cfg.Backends[j])
 		if err != nil {
 			cancel()
 			return nil, err
 		}
 		g.pools[j] = &workPool{target: target, maxIdle: cfg.MaxIdleConnsPerHost, opened: &g.met.connOpened[j]}
-		g.clients[j] = &http.Client{
-			Transport: &http.Transport{
-				DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-					g.met.connOpened[j].Add(1)
-					return dialer.DialContext(ctx, network, addr)
-				},
-				MaxIdleConns:        cfg.MaxIdleConnsPerHost,
-				MaxIdleConnsPerHost: cfg.MaxIdleConnsPerHost,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
 	}
 	g.scratch.New = func() any { return &fwdScratch{} }
 	src := rng.NewSource(cfg.Seed)
@@ -544,9 +527,8 @@ func (g *Gateway) Kill() error {
 
 // closeConns drops every backend's idle connections.
 func (g *Gateway) closeConns() {
-	for j, c := range g.clients {
-		c.CloseIdleConnections()
-		g.pools[j].close()
+	for _, p := range g.pools {
+		p.close()
 	}
 }
 
@@ -644,7 +626,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	sc := g.scratch.Get().(*fwdScratch)
 	defer g.scratch.Put(sc)
 	w.Header().Set("Content-Type", "application/json")
-	sc.out = appendSubmitResponse(sc.out[:0], user, backend, reply.Service, elapsed.Seconds())
+	sc.out = appendSubmitResponse(sc.out[:0], user, backend, reply.Value, elapsed.Seconds())
 	_, _ = w.Write(sc.out)
 }
 
@@ -764,7 +746,7 @@ func (g *Gateway) forward(ctx context.Context, backend int) (workReply, error) {
 		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 			deadline = d
 		}
-		reply, err := g.pools[backend].roundTrip(ctx, g.frameID.Add(1), deadline)
+		reply, err := g.pools[backend].roundTrip(ctx, g.frameID.Add(1), kindJob, deadline)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Caller gone: no verdict on the backend.
@@ -1066,10 +1048,10 @@ func weightsEqual(a, b []float64) bool {
 	return true
 }
 
-// probeAll actively checks every backend's /healthz concurrently: closed
-// breakers get a routine liveness check, open breakers past their cooldown
-// get the single half-open trial. Probe outcomes feed the breakers exactly
-// like request outcomes.
+// probeAll actively probes every backend concurrently: closed breakers get
+// a routine liveness check, open breakers past their cooldown get the
+// single half-open trial. Probe outcomes feed the breakers exactly like
+// request outcomes.
 func (g *Gateway) probeAll() {
 	var wg sync.WaitGroup
 	for j := range g.cfg.Backends {
@@ -1096,7 +1078,8 @@ func (g *Gateway) probeAll() {
 // probe performs one health check with the shared retry-horizon arithmetic:
 // the number of in-probe retries is whatever backoff delays fit inside one
 // ProbeTimeout (dist.Backoff.AttemptsFor), so probe cadence and request
-// retries are configured by the same two knobs.
+// retries are configured by the same two knobs. Each attempt is a status
+// query, so a passing probe also reads the backend's queue depth.
 func (g *Gateway) probe(j int) (bool, string) {
 	backoff := dist.Backoff{Base: g.cfg.RetryBase, Max: g.cfg.RetryMax}
 	attempts := 1 + backoff.AttemptsFor(g.cfg.ProbeTimeout)
@@ -1109,28 +1092,33 @@ func (g *Gateway) probe(j int) (bool, string) {
 				return false, "gateway shutting down"
 			}
 		}
-		ctx, cancel := context.WithTimeout(g.ctx, g.cfg.ProbeTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.cfg.Backends[j]+"/healthz", nil)
-		if err != nil {
-			cancel()
-			return false, err.Error()
-		}
-		g.met.connAttempts[j].Add(1)
-		resp, err := g.clients[j].Do(req)
-		if err != nil {
-			cancel()
+		if _, err := g.queryStatus(j, g.cfg.ProbeTimeout); err != nil {
 			lastErr = err.Error()
 			continue
 		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		cancel()
-		if resp.StatusCode == http.StatusOK {
-			return true, ""
-		}
-		lastErr = fmt.Sprintf("healthz status %d", resp.StatusCode)
+		return true, ""
 	}
 	return false, lastErr
+}
+
+// queryStatus sends backend j one status frame, under a deadline timeout
+// from now and the gateway context (Close aborts it), and returns the jobs
+// in system it reports, which also set the backend's depth gauge. A reply
+// other than ok (closing, or a chaos proxy's injected failure) is an error.
+func (g *Gateway) queryStatus(j int, timeout time.Duration) (int, error) {
+	g.met.connAttempts[j].Add(1)
+	r, err := g.pools[j].roundTrip(g.ctx, g.frameID.Add(1), kindStatus, time.Now().Add(timeout))
+	if err != nil {
+		return 0, err
+	}
+	if r.Status != statusOK {
+		return 0, fmt.Errorf("status query answered %s", r.Status)
+	}
+	if !(r.Value >= 0 && r.Value <= math.MaxInt32) || r.Value != math.Trunc(r.Value) {
+		return 0, fmt.Errorf("status query answered depth %g", r.Value)
+	}
+	g.met.queueDepth[j].Store(int64(r.Value))
+	return int(r.Value), nil
 }
 
 // reequilibrate re-solves the load-balancing game over the effective
@@ -1191,10 +1179,10 @@ func (g *Gateway) installable(p game.Profile) bool {
 	return true
 }
 
-// pollDepths queries every backend's /queue concurrently. A sweep is used
-// only when every backend answered: the balancer needs a consistent vector.
-// Requests derive from the gateway context, so Close aborts a sweep in
-// flight instead of waiting out the backend timeout.
+// pollDepths queries every backend's queue depth concurrently. A sweep is
+// used only when every backend answered: the balancer needs a consistent
+// vector. Close aborts a sweep in flight instead of waiting out the backend
+// timeout.
 func (g *Gateway) pollDepths() ([]int, bool) {
 	n := len(g.cfg.Backends)
 	depths := make([]int, n)
@@ -1205,27 +1193,7 @@ func (g *Gateway) pollDepths() ([]int, bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(g.ctx, g.cfg.Timeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.cfg.Backends[j]+"/queue", nil)
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			g.met.connAttempts[j].Add(1)
-			resp, err := g.clients[j].Do(req)
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			defer resp.Body.Close()
-			var st QueueStatus
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				errs[j] = err
-				return
-			}
-			depths[j] = st.Depth
-			g.met.queueDepth[j].Store(int64(st.Depth))
+			depths[j], errs[j] = g.queryStatus(j, g.cfg.Timeout)
 		}()
 	}
 	wg.Wait()

@@ -63,7 +63,7 @@ func TestAppendSubmitResponse(t *testing.T) {
 // replyFrame is an encoded ok reply carrying a 12.345 ms service time.
 func replyFrame() []byte {
 	frame := make([]byte, replyFrameLen)
-	encodeReply(frame, workReply{ID: 1, Status: statusOK, Service: 0.012345})
+	encodeReply(frame, workReply{ID: 1, Status: statusOK, Value: 0.012345})
 	return frame
 }
 
@@ -98,7 +98,7 @@ func TestForwardPathAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		service := reply.Service
+		service := reply.Value
 		sc.out = appendSubmitResponse(sc.out[:0], 1, backend, service, 0.001)
 		g.met.observe(1, 0.001)
 		sinkInt = backend
@@ -157,7 +157,7 @@ func benchmarkHotPath(b *testing.B, g *Gateway) {
 		reader.Reset(payload)
 		_, _ = io.ReadFull(reader, conn.buf[:])
 		reply, _ := decodeReply(conn.buf[:])
-		service := reply.Service
+		service := reply.Value
 		sc.out = appendSubmitResponse(sc.out[:0], 1, backend, service, 0.001)
 		g.met.observe(1, 0.001)
 		sinkInt = backend

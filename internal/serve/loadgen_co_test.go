@@ -29,43 +29,34 @@ func TestLatencyRecorderClamp(t *testing.T) {
 }
 
 // TestCoordinatedOmissionCorrection is the satellite regression test: a
-// closed-loop run against a backend with a seeded, scripted stall
-// (ChaosProxy delay injection). The single synchronous connection blocks
-// for the whole stall, so almost no requests actually experience it and
-// the uncorrected percentiles come out clean — the classic coordinated-
-// omission lie. The corrected percentiles charge every schedule-delayed
-// request its backlog wait and must surface the stall.
+// closed-loop run against a backend with a scripted stall (requests arriving
+// 400 ms to 1 s after start are held for 600 ms). The single synchronous
+// connection blocks for the whole stall, so almost no requests actually
+// experience it and the uncorrected percentiles come out clean — the
+// classic coordinated-omission lie. The corrected percentiles charge every
+// schedule-delayed request its backlog wait and must surface the stall.
 func TestCoordinatedOmissionCorrection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock load test; skipped in -short")
 	}
 	const stall = 600 * time.Millisecond
 
+	start := time.Now()
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if since := time.Since(start); since >= 400*time.Millisecond && since < time.Second {
+			select {
+			case <-time.After(stall):
+			case <-r.Context().Done():
+				return
+			}
+		}
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ok"))
 	}))
 	defer backend.Close()
 
-	proxy, err := NewChaosProxy(ChaosProxyConfig{
-		Target: backend.URL,
-		Seed:   1,
-		Schedule: []ChaosPhase{
-			{Start: 0},
-			{Start: 400 * time.Millisecond, Delay: stall},
-			{Start: 1000 * time.Millisecond},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := proxy.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
 	res, err := RunLoad(LoadConfig{
-		Target:      proxy.URL(),
+		Target:      backend.URL,
 		Arrivals:    []float64{200},
 		Duration:    1500 * time.Millisecond,
 		Warmup:      100 * time.Millisecond,

@@ -45,8 +45,8 @@ type gatewayMetrics struct {
 	backendRequests []atomic.Int64 // forwarded and answered 200
 	backendRejects  []atomic.Int64 // backend replied queue full or closing (503)
 	backendErrors   []atomic.Int64 // failed replies, transport failures after retries
-	queueDepth      []atomic.Int64 // last polled depth gauge
-	connOpened      []atomic.Int64 // fresh dials per backend (work pool and HTTP polls)
+	queueDepth      []atomic.Int64 // jobs in system at the last probe or poll
+	connOpened      []atomic.Int64 // fresh work-hop dials per backend
 	connAttempts    []atomic.Int64 // forward attempts, probes and polls per backend
 	userAdmitted    []atomic.Int64 // admitted requests per user (arrival estimation)
 	admitted        atomic.Int64
@@ -158,7 +158,8 @@ type Snapshot struct {
 	// transport failures per backend.
 	BackendRejects []int64
 	BackendErrors  []int64
-	// QueueDepth is the last polled jobs-in-system gauge per backend.
+	// QueueDepth is the jobs-in-system gauge per backend, read by the last
+	// probe or depth poll.
 	QueueDepth []int64
 	// ConnOpened and ConnReused count, per backend pool, connections dialed
 	// fresh and warm reuses off the idle pool (attempts minus dials — the
@@ -290,7 +291,7 @@ func (m *gatewayMetrics) render(b *strings.Builder) {
 	for j := range m.backendErrors {
 		w("nashgate_backend_errors_total{backend=\"%d\"} %d\n", j, m.backendErrors[j].Load())
 	}
-	w("# HELP nashgate_backend_queue_depth Last polled jobs in system.\n")
+	w("# HELP nashgate_backend_queue_depth Jobs in system at the last probe or poll.\n")
 	w("# TYPE nashgate_backend_queue_depth gauge\n")
 	for j := range m.queueDepth {
 		w("nashgate_backend_queue_depth{backend=\"%d\"} %d\n", j, m.queueDepth[j].Load())

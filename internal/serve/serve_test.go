@@ -85,8 +85,8 @@ func TestBackendServesWork(t *testing.T) {
 		if r.ID != uint64(i+1) || r.Status != statusOK {
 			t.Fatalf("frame %d: reply %+v", i+1, r)
 		}
-		if r.Service <= 0 {
-			t.Fatalf("frame %d: non-positive service time %g", i+1, r.Service)
+		if r.Value <= 0 {
+			t.Fatalf("frame %d: non-positive service time %g", i+1, r.Value)
 		}
 	}
 	if got := b.Served(); got != 5 {
@@ -96,17 +96,12 @@ func TestBackendServesWork(t *testing.T) {
 		t.Fatal("BusyTime() not accumulated")
 	}
 
-	resp, err := http.Get(b.URL() + "/queue")
+	st, err := statusOf(b.URL(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var st QueueStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Served != 5 || st.Rate != 500 || st.Depth != 0 {
-		t.Fatalf("queue status = %+v", st)
+	if st.Status != statusOK || st.Value != 0 || b.Served() != 5 {
+		t.Fatalf("status reply %+v after %d served", st, b.Served())
 	}
 }
 

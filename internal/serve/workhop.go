@@ -17,39 +17,53 @@ import (
 	"time"
 )
 
-// The work hop. A gateway forwards each job to its backend over a TCP
-// connection that opens as HTTP/1.1 — one GET /work carrying
-// "Upgrade: nashlb-work/1", answered 101 — and then carries fixed-size
-// binary frames, one request at a time per connection:
+// The work hop: every message a gateway sends a backend. It travels on TCP
+// connections that open as HTTP/1.1 — one GET /work carrying
+// "Upgrade: nashlb-work/2", answered 101 — and then carry fixed-size binary
+// frames, one request at a time per connection:
 //
-//	request   8 bytes  the request ID (big-endian uint64)
-//	reply    17 bytes  the request's ID, a status byte, and the service
-//	                   time in seconds as big-endian float64 bits
+//	request   9 bytes  the request ID (big-endian uint64) and a kind byte:
+//	                   job (run one job) or status (report the queue)
+//	reply    17 bytes  the request's ID, a status byte, and a value as
+//	                   big-endian float64 bits: a job's service time in
+//	                   seconds, or a status query's jobs in system
 //
-// /healthz and /queue stay plain HTTP. A backend that does not speak the
-// protocol refuses the upgrade (an older one answers 200 and runs a job), and
-// the gateway counts that as a failed attempt: gateway and backend must run
-// the same version.
+// A backend answers a status query at once, outside its FCFS queue: ok with
+// its jobs in system, or closing while it shuts down. The gateway's health
+// probes and queue-depth polls are status queries on the pooled connections
+// that carry jobs. A backend that does not speak this version refuses the
+// upgrade, and the gateway counts that as a failed attempt: gateway and
+// backend must run the same version.
 
 // workProtocol is the Upgrade token of the work hop.
-const workProtocol = "nashlb-work/1"
+const workProtocol = "nashlb-work/2"
 
 const (
-	requestFrameLen = 8
+	requestFrameLen = 9
 	replyFrameLen   = 17
+)
+
+// frameKind is what a request frame asks of the backend.
+type frameKind byte
+
+const (
+	// kindJob: run one job through the FCFS queue.
+	kindJob frameKind = 1
+	// kindStatus: report the jobs in system at once.
+	kindStatus frameKind = 2
 )
 
 // workStatus is the outcome a reply frame carries.
 type workStatus byte
 
 const (
-	// statusOK: the job ran; the frame carries its service time.
+	// statusOK: the job ran, or the status query was answered.
 	statusOK workStatus = 1
 	// statusQueueFull: the backend's queue was full — busy, not down.
 	statusQueueFull workStatus = 2
 	// statusClosing: the backend is shutting down and took no job.
 	statusClosing workStatus = 3
-	// statusFailed: the job failed (a chaos proxy's injected fault).
+	// statusFailed: the request failed (a chaos proxy's injected fault).
 	statusFailed workStatus = 4
 )
 
@@ -76,32 +90,41 @@ func healthyReply(s workStatus) bool {
 
 // workReply is a decoded reply frame.
 type workReply struct {
-	ID      uint64
-	Status  workStatus
-	Service float64 // seconds
+	ID     uint64
+	Status workStatus
+	// Value is a job's service time in seconds, or a status query's jobs
+	// in system.
+	Value float64
 }
 
-// encodeRequest writes the request frame for id into b[:requestFrameLen].
-func encodeRequest(b []byte, id uint64) {
-	binary.BigEndian.PutUint64(b[:requestFrameLen], id)
+// encodeRequest writes the request frame for id and kind into
+// b[:requestFrameLen].
+func encodeRequest(b []byte, id uint64, kind frameKind) {
+	binary.BigEndian.PutUint64(b[:8], id)
+	b[8] = byte(kind)
 }
 
-// decodeRequest decodes a request frame; any other length is an error.
-func decodeRequest(b []byte) (uint64, error) {
+// decodeRequest decodes a request frame: any other length, or a kind byte
+// other than job and status, is an error.
+func decodeRequest(b []byte) (uint64, frameKind, error) {
 	if len(b) != requestFrameLen {
-		return 0, fmt.Errorf("serve: request frame of %d bytes, want %d", len(b), requestFrameLen)
+		return 0, 0, fmt.Errorf("serve: request frame of %d bytes, want %d", len(b), requestFrameLen)
 	}
-	return binary.BigEndian.Uint64(b), nil
+	kind := frameKind(b[8])
+	if kind != kindJob && kind != kindStatus {
+		return 0, 0, fmt.Errorf("serve: request frame with unknown kind byte %d", b[8])
+	}
+	return binary.BigEndian.Uint64(b[:8]), kind, nil
 }
 
-// encodeReply writes r's reply frame into b[:replyFrameLen]. The service
-// time is stored as its float64 bits, so every value (NaN and Inf
-// included) round-trips exactly.
+// encodeReply writes r's reply frame into b[:replyFrameLen]. The value is
+// stored as its float64 bits, so every value (NaN and Inf included)
+// round-trips exactly.
 func encodeReply(b []byte, r workReply) {
 	_ = b[replyFrameLen-1]
 	binary.BigEndian.PutUint64(b[0:8], r.ID)
 	b[8] = byte(r.Status)
-	binary.BigEndian.PutUint64(b[9:17], math.Float64bits(r.Service))
+	binary.BigEndian.PutUint64(b[9:17], math.Float64bits(r.Value))
 }
 
 // decodeReply decodes a reply frame: any other length, or a status byte
@@ -111,9 +134,9 @@ func decodeReply(b []byte) (workReply, error) {
 		return workReply{}, fmt.Errorf("serve: reply frame of %d bytes, want %d", len(b), replyFrameLen)
 	}
 	r := workReply{
-		ID:      binary.BigEndian.Uint64(b[0:8]),
-		Status:  workStatus(b[8]),
-		Service: math.Float64frombits(binary.BigEndian.Uint64(b[9:17])),
+		ID:     binary.BigEndian.Uint64(b[0:8]),
+		Status: workStatus(b[8]),
+		Value:  math.Float64frombits(binary.BigEndian.Uint64(b[9:17])),
 	}
 	if r.Status < statusOK || r.Status > statusFailed {
 		return workReply{}, fmt.Errorf("serve: reply frame with unknown status byte %d", b[8])
@@ -243,8 +266,8 @@ func newWorkConn(c net.Conn) *workConn {
 // exchange sends one request frame and reads its reply. got reports
 // whether any reply byte arrived, which tells a connection the backend
 // closed while it sat idle from one that failed mid-answer.
-func (c *workConn) exchange(id uint64) (r workReply, got bool, err error) {
-	encodeRequest(c.buf[:], id)
+func (c *workConn) exchange(id uint64, kind frameKind) (r workReply, got bool, err error) {
+	encodeRequest(c.buf[:], id, kind)
 	if _, err := c.Conn.Write(c.buf[:requestFrameLen]); err != nil {
 		return workReply{}, false, err
 	}
@@ -271,13 +294,13 @@ type workPool struct {
 	closed bool
 }
 
-// roundTrip sends one job and waits for its reply, on a pooled connection
-// or a fresh one. Every read, write and the dial itself end at deadline,
+// roundTrip sends one request frame and waits for its reply, on a pooled
+// connection or a fresh one. Every read, write and the dial itself end at deadline,
 // and ctx's cancel moves the connection's deadline into the past through
 // context.AfterFunc. A pooled connection the backend closed while it sat
 // idle (nothing came back) is replaced by one fresh dial, as net/http
 // retries a request on a stale keep-alive connection.
-func (p *workPool) roundTrip(ctx context.Context, id uint64, deadline time.Time) (workReply, error) {
+func (p *workPool) roundTrip(ctx context.Context, id uint64, kind frameKind, deadline time.Time) (workReply, error) {
 	c := p.get()
 	reused := c != nil
 	for {
@@ -294,7 +317,7 @@ func (p *workPool) roundTrip(ctx context.Context, id uint64, deadline time.Time)
 			return workReply{}, err
 		}
 		stop := context.AfterFunc(ctx, c.interrupt)
-		r, got, err := c.exchange(id)
+		r, got, err := c.exchange(id, kind)
 		if !stop() {
 			// The cancel ran or is running and may still move the
 			// deadline: the connection cannot be reused.

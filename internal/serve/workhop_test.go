@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -19,10 +20,10 @@ import (
 	"nashlb/internal/testutil"
 )
 
-// sendWork opens a work-hop connection to the backend (or proxy) at base
-// and sends n request frames on it one at a time, returning the replies;
-// a dial, upgrade or frame error ends it early.
-func sendWork(base string, n int, timeout time.Duration) ([]workReply, error) {
+// sendFrames opens a work-hop connection to the backend (or proxy) at base
+// and sends n request frames of the given kind on it one at a time,
+// returning the replies; a dial, upgrade or frame error ends it early.
+func sendFrames(base string, kind frameKind, n int, timeout time.Duration) ([]workReply, error) {
 	target, err := parseWorkTarget(base)
 	if err != nil {
 		return nil, err
@@ -39,13 +40,28 @@ func sendWork(base string, n int, timeout time.Duration) ([]workReply, error) {
 	}
 	var replies []workReply
 	for i := 0; i < n; i++ {
-		r, _, err := c.exchange(uint64(i + 1))
+		r, _, err := c.exchange(uint64(i+1), kind)
 		if err != nil {
 			return replies, err
 		}
 		replies = append(replies, r)
 	}
 	return replies, nil
+}
+
+// sendWork sends n job frames on one connection (see sendFrames).
+func sendWork(base string, n int, timeout time.Duration) ([]workReply, error) {
+	return sendFrames(base, kindJob, n, timeout)
+}
+
+// statusOf sends one status query on a fresh connection and returns its
+// reply.
+func statusOf(base string, timeout time.Duration) (workReply, error) {
+	replies, err := sendFrames(base, kindStatus, 1, timeout)
+	if err != nil {
+		return workReply{}, err
+	}
+	return replies[0], nil
 }
 
 // workStatusOf sends one frame on a fresh connection and returns its
@@ -80,9 +96,9 @@ func TestParseWorkTarget(t *testing.T) {
 }
 
 func FuzzWorkFrame(f *testing.F) {
-	seed := func(id uint64, s workStatus, service float64) {
+	seed := func(id uint64, s workStatus, value float64) {
 		b := make([]byte, replyFrameLen)
-		encodeReply(b, workReply{ID: id, Status: s, Service: service})
+		encodeReply(b, workReply{ID: id, Status: s, Value: value})
 		f.Add(b)
 	}
 	seed(1, statusOK, 0.012345)
@@ -94,19 +110,28 @@ func FuzzWorkFrame(f *testing.F) {
 	seed(11, statusOK, math.Float64frombits(0x7ff0000000000001)) // signalling NaN
 	seed(12, statusOK, 5e-324)
 	f.Add([]byte{})
-	f.Add(make([]byte, requestFrameLen))
+	f.Add(make([]byte, 8))                                    // a nashlb-work/1 request
 	f.Add(make([]byte, replyFrameLen))                        // status 0
 	f.Add(append(make([]byte, 8), 5, 0, 0, 0, 0, 0, 0, 0, 0)) // status 5
 	f.Add(make([]byte, replyFrameLen+1))
+	seed(13, statusOK, 512) // a status reply's jobs in system
+	for _, kind := range []frameKind{kindJob, kindStatus} {
+		b := make([]byte, requestFrameLen)
+		encodeRequest(b, 42, kind)
+		f.Add(b)
+	}
+	f.Add(make([]byte, requestFrameLen)) // kind 0
+	f.Add(append(make([]byte, 8), 3))    // kind 3
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, err := decodeRequest(data)
-		if (err != nil) != (len(data) != requestFrameLen) {
-			t.Fatalf("decodeRequest(%d bytes): err %v", len(data), err)
+		id, kind, err := decodeRequest(data)
+		valid := len(data) == requestFrameLen && (data[8] == byte(kindJob) || data[8] == byte(kindStatus))
+		if (err == nil) != valid {
+			t.Fatalf("decodeRequest(%x): err %v", data, err)
 		}
 		if err == nil {
 			out := make([]byte, requestFrameLen)
-			encodeRequest(out, id)
+			encodeRequest(out, id, kind)
 			if !bytes.Equal(out, data) {
 				t.Fatalf("request %x re-encodes as %x", data, out)
 			}
@@ -132,15 +157,25 @@ func FuzzWorkFrame(f *testing.F) {
 			}
 		}
 
-		// Encode then decode: every ID, status and service value survives
-		// bit for bit, NaN payloads included.
+		// Encode then decode: every ID and kind of a request, and every ID,
+		// status and value of a reply, survives bit for bit, NaN payloads
+		// included.
+		if len(data) < requestFrameLen {
+			return
+		}
+		wantID, wantKind := binary.BigEndian.Uint64(data[0:8]), frameKind(data[8]%2)+kindJob
+		req := make([]byte, requestFrameLen)
+		encodeRequest(req, wantID, wantKind)
+		if gotID, gotKind, err := decodeRequest(req); err != nil || gotID != wantID || gotKind != wantKind {
+			t.Fatalf("request round trip (%d, %d) -> (%d, %d), %v", wantID, wantKind, gotID, gotKind, err)
+		}
 		if len(data) < replyFrameLen {
 			return
 		}
 		want := workReply{
-			ID:      binary.BigEndian.Uint64(data[0:8]),
-			Status:  workStatus(data[8]%4) + statusOK,
-			Service: math.Float64frombits(binary.BigEndian.Uint64(data[9:17])),
+			ID:     wantID,
+			Status: workStatus(data[8]%4) + statusOK,
+			Value:  math.Float64frombits(binary.BigEndian.Uint64(data[9:17])),
 		}
 		frame := make([]byte, replyFrameLen)
 		encodeReply(frame, want)
@@ -148,17 +183,18 @@ func FuzzWorkFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encoded %+v: %v", want, err)
 		}
-		if got.ID != want.ID || got.Status != want.Status || math.Float64bits(got.Service) != math.Float64bits(want.Service) {
+		if got.ID != want.ID || got.Status != want.Status || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
 			t.Fatalf("round trip %+v -> %+v", want, got)
 		}
 	})
 }
 
 // fakeWork starts a scripted work-hop peer: it accepts the upgrade on /work
-// and answers each request frame with answer(id); a false second value
-// holds the frame unanswered. The handler returns once the client closes
-// its connection.
-func fakeWork(t *testing.T, answer func(id uint64) (workReply, bool)) string {
+// and answers each request frame with answer(id, kind); a false second
+// value holds the frame unanswered. Every other request gets 426, so the
+// peer has no /healthz and no /queue. The handler returns once the client
+// closes its connection.
+func fakeWork(t *testing.T, answer func(id uint64, kind frameKind) (workReply, bool)) string {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !wantsWork(r) {
@@ -175,8 +211,11 @@ func fakeWork(t *testing.T, answer func(id uint64) (workReply, bool)) string {
 			if _, err := io.ReadFull(br, frame[:requestFrameLen]); err != nil {
 				return
 			}
-			id, _ := decodeRequest(frame[:requestFrameLen])
-			reply, ok := answer(id)
+			id, kind, err := decodeRequest(frame[:requestFrameLen])
+			if err != nil {
+				return
+			}
+			reply, ok := answer(id, kind)
 			if !ok {
 				continue
 			}
@@ -206,12 +245,12 @@ func breakerTally(br *breaker) (reports, fails int) {
 // the attempt is retried.
 func TestForwardFailureSurface(t *testing.T) {
 	const retries = 2
-	answer := func(s workStatus) func(uint64) (workReply, bool) {
-		return func(id uint64) (workReply, bool) {
-			return workReply{ID: id, Status: s, Service: 0.001}, true
+	answer := func(s workStatus) func(uint64, frameKind) (workReply, bool) {
+		return func(id uint64, _ frameKind) (workReply, bool) {
+			return workReply{ID: id, Status: s, Value: 0.001}, true
 		}
 	}
-	hold := func(uint64) (workReply, bool) { return workReply{}, false }
+	hold := func(uint64, frameKind) (workReply, bool) { return workReply{}, false }
 	// held signals each frame the cancel case's peer receives.
 	held := make(chan struct{}, 4)
 
@@ -255,13 +294,13 @@ func TestForwardFailureSurface(t *testing.T) {
 		{name: "deadline", backend: func(t *testing.T) string { return fakeWork(t, hold) },
 			code: 502, counter: "errors", reports: 1 + retries, fails: 1 + retries, tries: 1 + retries},
 		{name: "caller cancel", backend: func(t *testing.T) string {
-			return fakeWork(t, func(uint64) (workReply, bool) {
+			return fakeWork(t, func(uint64, frameKind) (workReply, bool) {
 				held <- struct{}{}
 				return workReply{}, false
 			})
 		}, cancel: true, code: 502, counter: "errors", tries: 1},
 		{name: "id mismatch", backend: func(t *testing.T) string {
-			return fakeWork(t, func(id uint64) (workReply, bool) {
+			return fakeWork(t, func(id uint64, _ frameKind) (workReply, bool) {
 				return workReply{ID: id + 1, Status: statusOK}, true
 			})
 		}, code: 502, counter: "errors", reports: 1 + retries, fails: 1 + retries, tries: 1 + retries},
@@ -361,7 +400,7 @@ func TestBackendCloseAnswersInFlight(t *testing.T) {
 			defer c.Close()
 			_ = c.SetDeadline(time.Now().Add(10 * time.Second))
 			for id := uint64(1); ; id++ {
-				r, _, err := c.exchange(id)
+				r, _, err := c.exchange(id, kindJob)
 				if err != nil {
 					if !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) && !errors.Is(err, syscall.EPIPE) {
 						t.Errorf("frame %d: %v", id, err)
@@ -415,5 +454,180 @@ func TestBackendRefusesPlainWork(t *testing.T) {
 	}
 	if s, err := workStatusOf(b.URL(), 2*time.Second); err != nil || s != statusOK {
 		t.Fatalf("framed job after the refusal: %v %v", s, err)
+	}
+}
+
+// TestStatusRidesTheWorkHop: a gateway whose backends speak only the work
+// hop (no /healthz, no /queue) gets healthy probes and complete depth
+// sweeps, both as status frames on the pools that carry jobs.
+func TestStatusRidesTheWorkHop(t *testing.T) {
+	depths := []int64{2, 5}
+	urls := make([]string, len(depths))
+	for j, d := range depths {
+		d := d
+		urls[j] = fakeWork(t, func(id uint64, kind frameKind) (workReply, bool) {
+			if kind == kindStatus {
+				return workReply{ID: id, Status: statusOK, Value: float64(d)}, true
+			}
+			return workReply{ID: id, Status: statusOK, Value: 0.001}, true
+		})
+	}
+	g, err := NewGateway(GatewayConfig{
+		Backends:   urls,
+		Rates:      []float64{10, 20},
+		Arrivals:   []float64{3},
+		PollEvery:  10 * time.Millisecond,
+		ProbeEvery: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+
+	probed := func(j int) (probes, fails int64) {
+		g.health.mu.Lock()
+		defer g.health.mu.Unlock()
+		return g.health.probes[j], g.health.probeFails[j]
+	}
+	testutil.WaitFor(t, 5*time.Second, "no three complete sweeps and probes", func() bool {
+		p0, _ := probed(0)
+		p1, _ := probed(1)
+		return g.Metrics().Polls >= 3 && p0 >= 3 && p1 >= 3
+	})
+	snap := g.Metrics()
+	for j, d := range depths {
+		if _, fails := probed(j); fails != 0 || snap.BreakerStates[j] != BreakerClosed.String() {
+			t.Errorf("backend %d: %d failed probes, breaker %s", j, fails, snap.BreakerStates[j])
+		}
+		if snap.QueueDepth[j] != d {
+			t.Errorf("backend %d: depth gauge %d, want %d", j, snap.QueueDepth[j], d)
+		}
+	}
+}
+
+// TestBackendAnswersStatusOutsideQueue: a status query is answered at once,
+// even while the only queue slot is busy, and a closing backend answers
+// closing, which fails the gateway's probe.
+func TestBackendAnswersStatusOutsideQueue(t *testing.T) {
+	b := startBackend(t, BackendConfig{Rate: 1, QueueCap: 1, Seed: 12}) // first job ~1.2 s
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if s, err := workStatusOf(b.URL(), 10*time.Second); err != nil || s != statusOK {
+			t.Errorf("held job: %v %v", s, err)
+		}
+	}()
+	testutil.WaitFor(t, 2*time.Second, "the job never entered the queue", func() bool {
+		return b.Depth() > 0
+	})
+	// Had the query waited behind the job, it would read depth 0.
+	if st, err := statusOf(b.URL(), 5*time.Second); err != nil || st.Status != statusOK || st.Value != 1 {
+		t.Fatalf("status query while the slot is busy: reply %+v err %v, want ok with depth 1", st, err)
+	}
+	wg.Wait()
+
+	b.mu.Lock()
+	b.closing = true
+	b.mu.Unlock()
+	if st, err := statusOf(b.URL(), 5*time.Second); err != nil || st.Status != statusClosing {
+		t.Fatalf("status query to a closing backend: reply %+v err %v, want closing", st, err)
+	}
+	g, err := NewGateway(GatewayConfig{Backends: []string{b.URL()}, Rates: []float64{1}, Arrivals: []float64{0.5}, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.closeConns)
+	if ok, errText := g.probe(0); ok || !strings.Contains(errText, "closing") {
+		t.Fatalf("probe of a closing backend: ok %v, error %q", ok, errText)
+	}
+}
+
+// TestProbesFillDepthGauge: with probes on and no depth polls, the gateway
+// still reports a backend's jobs in system, on /metrics and /backends.
+func TestProbesFillDepthGauge(t *testing.T) {
+	b := startBackend(t, BackendConfig{Rate: 1, Seed: 12}) // first job ~1.2 s
+	g, err := NewGateway(GatewayConfig{
+		Backends:   []string{b.URL()},
+		Rates:      []float64{1},
+		Arrivals:   []float64{0.5},
+		ProbeEvery: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if s, err := workStatusOf(b.URL(), 10*time.Second); err != nil || s != statusOK {
+			t.Errorf("held job: %v %v", s, err)
+		}
+	}()
+	defer wg.Wait()
+	testutil.WaitFor(t, 5*time.Second, "the depth gauge never read the held job", func() bool {
+		return g.Metrics().QueueDepth[0] == 1
+	})
+	rec := httptest.NewRecorder()
+	g.handleBackends(rec, httptest.NewRequest(http.MethodGet, "/backends", nil))
+	var st BackendsStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Backends[0].QueueDepth != 1 || b.Depth() != 1 {
+		t.Fatalf("/backends queue_depth %d with %d jobs in system, want 1", st.Backends[0].QueueDepth, b.Depth())
+	}
+	if polls := g.Metrics().Polls; polls != 0 {
+		t.Fatalf("%d depth polls without PollEvery", polls)
+	}
+}
+
+// TestProbesReuseOneConnection: on an idle gateway, sequential probes share
+// one pooled work connection, and the reuse counter counts them exactly.
+func TestProbesReuseOneConnection(t *testing.T) {
+	b := startBackend(t, BackendConfig{Rate: 100, Seed: 1})
+	g, err := NewGateway(GatewayConfig{Backends: []string{b.URL()}, Rates: []float64{100}, Arrivals: []float64{1}, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.closeConns)
+	const n = 5
+	for k := 0; k < n; k++ {
+		if ok, errText := g.probe(0); !ok {
+			t.Fatalf("probe %d failed: %s", k, errText)
+		}
+	}
+	if snap := g.Metrics(); snap.ConnOpened[0] != 1 || snap.ConnReused[0] != n-1 {
+		t.Fatalf("%d probes: %d connections opened, %d reused; want 1, %d", n, snap.ConnOpened[0], snap.ConnReused[0], n-1)
+	}
+}
+
+// TestProbeRejectsMalformedDepth: a status reply whose value is not a jobs
+// count fails the probe and leaves the depth gauge alone.
+func TestProbeRejectsMalformedDepth(t *testing.T) {
+	for _, v := range []float64{-1, 0.5, math.NaN(), math.Inf(1), 1 << 63} {
+		url := fakeWork(t, func(id uint64, _ frameKind) (workReply, bool) {
+			return workReply{ID: id, Status: statusOK, Value: v}, true
+		})
+		g, err := NewGateway(GatewayConfig{Backends: []string{url}, Rates: []float64{1}, Arrivals: []float64{0.5},
+			ProbeEvery: time.Hour, ProbeTimeout: 20 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.met.queueDepth[0].Store(7)
+		if ok, errText := g.probe(0); ok || !strings.Contains(errText, "depth") {
+			t.Errorf("depth %g: probe ok %v, error %q", v, ok, errText)
+		}
+		if d := g.Metrics().QueueDepth[0]; d != 7 {
+			t.Errorf("depth %g: gauge moved to %d", v, d)
+		}
+		g.closeConns()
 	}
 }

@@ -54,8 +54,8 @@ go test -race -count=3 -cpu 1,2,4 -p 1 -timeout 25m ./internal/serve/... ./inter
 # Fuzz smoke: a short randomized run of each native fuzz target (bisection
 # root finder, M/M/1 queue-depth inversion, fleet wire codec, durable
 # snapshot decoder, user-class spec parser, routing-table install, work-hop
-# frame codec). Regressions show up as crasher inputs; Go allows one -fuzz
-# target per invocation.
+# frame codec for job and status requests and their replies). Regressions
+# show up as crasher inputs; Go allows one -fuzz target per invocation.
 echo "== go test -fuzz (smoke, 10s each)"
 go test -run '^$' -fuzz FuzzBisect -fuzztime 10s ./internal/numeric
 go test -run '^$' -fuzz FuzzQueueInversion -fuzztime 10s ./internal/estimate
