@@ -17,7 +17,8 @@ func decodeStrict(data []byte, v any) error {
 // TestCommittedBenchSections decodes the sections of the committed BENCH
 // files that this package writes, at the schema it writes them: every
 // serving experiment of BENCH_serve.json, and the EXT11 sweep embedded in
-// BENCH_core.json. cmd/benchjson's tests cover the keys that tool adds.
+// BENCH_core.json, which must also come back unchanged through
+// Ext11Result.BenchJSON. cmd/benchjson's tests cover the keys that tool adds.
 func TestCommittedBenchSections(t *testing.T) {
 	raw, err := os.ReadFile("../../BENCH_serve.json")
 	if err != nil {
@@ -47,12 +48,23 @@ func TestCommittedBenchSections(t *testing.T) {
 	if err := json.Unmarshal(raw, &core); err != nil {
 		t.Fatalf("BENCH_core.json: %v", err)
 	}
-	var ext11 ext11Bench
+	var ext11 Ext11Result
 	if err := decodeStrict(core.Ext11, &ext11); err != nil {
 		t.Fatalf("BENCH_core.json ext11: %v", err)
 	}
-	if ext11.Experiment != "ext11_megascale" || len(ext11.Points) == 0 {
-		t.Fatalf("BENCH_core.json ext11 holds %q with %d points", ext11.Experiment, len(ext11.Points))
+	if ext11.Experiment != "ext11_megascale" || len(ext11.Rows) == 0 {
+		t.Fatalf("BENCH_core.json ext11 holds %q with %d points", ext11.Experiment, len(ext11.Rows))
+	}
+	out, err := ext11.BenchJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Indent(&want, core.Ext11, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, want.Bytes()) {
+		t.Errorf("BENCH_core.json ext11 re-encodes as\n%s\nwant\n%s", out, want.Bytes())
 	}
 }
 

@@ -968,14 +968,14 @@ func TestExt11MegascalePoint(t *testing.T) {
 	}
 	// The class equilibrium must agree with the dense per-user ground truth
 	// and certify as an approximate equilibrium.
-	if row.DenseLoadDev < 0 || row.DenseLoadDev > 1e-3 {
+	if row.DenseLoadDev == nil || *row.DenseLoadDev > 1e-3 {
 		t.Errorf("dense load deviation %v", row.DenseLoadDev)
 	}
 	if row.MaxDeviation > 1e-3 {
 		t.Errorf("equilibrium certificate %v", row.MaxDeviation)
 	}
 
-	res := &Ext11Result{Utilization: 0.7, Epsilon: ext11PerUserEps, Rows: []Ext11Row{*row}}
+	res := &Ext11Result{Experiment: "ext11_megascale", Utilization: 0.7, Epsilon: ext11PerUserEps, Rows: []Ext11Row{*row}}
 	if res.Table().Rows() != 1 {
 		t.Error("table mismatch")
 	}

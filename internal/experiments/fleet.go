@@ -6,10 +6,16 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 
 	"nashlb/internal/core"
+	"nashlb/internal/dist"
 	"nashlb/internal/fleet"
+	"nashlb/internal/fleet/audit"
 	"nashlb/internal/game"
 	"nashlb/internal/report"
 	"nashlb/internal/serve"
@@ -62,9 +68,9 @@ type Ext10Row struct {
 	// FinalEpoch is the highest table epoch installed on any survivor.
 	Elections  int64  `json:"elections"`
 	FinalEpoch uint64 `json:"final_epoch"`
-	// RecoverSeconds is the time from the leader kill until every survivor
-	// had re-elected and installed a new reign's table (negative when the
-	// scenario kills nobody).
+	// RecoverSeconds is the failover clock from the leader kill until the
+	// survivors agreed on a leader with a newer epoch installed than at the
+	// kill (negative when the scenario kills nobody).
 	RecoverSeconds float64 `json:"recover_seconds"`
 	// SplitDevPost is the equilibrium-recovery measure: the largest
 	// per-backend deviation between the fleet's aggregate routing split
@@ -88,27 +94,15 @@ type Ext10Result struct {
 	Rows          []Ext10Row `json:"scenarios"`
 }
 
-// ext10Scenario places one scenario's events as fractions of the window:
-// the leader kill, the churn machine's drain and rejoin, and the point from
-// which the post-fault split is measured (late enough that the survivors'
-// arrival estimates have re-absorbed the change).
-type ext10Scenario struct {
-	name        string
-	kill        bool
-	churn       bool
-	killFrac    float64
-	leaveFrac   float64
-	joinFrac    float64
-	measureFrac float64
-}
-
 // Ext10 measures fleet-wide availability and equilibrium recovery while
 // control-plane faults hit a three-gateway nashgate fleet: a clean baseline,
 // a mid-window leader kill (re-election, immediate re-solve, client
 // failover), backend churn (the slowest machine drains and rejoins through
 // the membership endpoint, forwarded follower -> leader), and the compound
 // of both. Each scenario replays the same seeded load schedule, so rows
-// differ only by the injected faults.
+// differ only by the injected faults. The mark opens each scenario's
+// post-fault split window, late enough that the survivors' arrival
+// estimates have re-absorbed the change.
 func Ext10(seed uint64, quick bool) (*Ext10Result, error) {
 	sys, err := game.NewSystem(ext10Rates, ext10Arrivals)
 	if err != nil {
@@ -123,24 +117,28 @@ func Ext10(seed uint64, quick bool) (*Ext10Result, error) {
 	}
 	// The fleet's aggregate split target: backend j's share of all traffic
 	// at the full-game Nash equilibrium.
-	phiTotal := sys.TotalArrival()
-	wantFrac := make([]float64, len(ext10Rates))
-	for i, phi := range ext10Arrivals {
-		for j, f := range solved.Profile[i] {
-			wantFrac[j] += phi * f / phiTotal
-		}
-	}
+	wantFrac := ext8AggregateSplit(sys, solved.Profile)
 
 	win := 16 * time.Second
 	if quick {
 		win = 6 * time.Second
 	}
-	scenarios := []ext10Scenario{
-		{name: "clean", measureFrac: 0.2},
-		{name: "leader kill", kill: true, killFrac: 0.2, measureFrac: 0.45},
-		{name: "backend churn", churn: true, leaveFrac: 0.25, joinFrac: 0.5, measureFrac: 0.7},
-		{name: "kill+churn", kill: true, churn: true,
-			killFrac: 0.2, leaveFrac: 0.4, joinFrac: 0.55, measureFrac: 0.7},
+	kill := faultStep{at: 0.2, kind: stepKill, target: 0}
+	scenarios := []faultScenario{
+		{name: "clean", steps: []faultStep{{at: 0.2, kind: stepMark}}},
+		{name: "leader kill", steps: []faultStep{kill, {at: 0.45, kind: stepMark}},
+			clockFrom: stepKill, clockBase: stepKill},
+		{name: "backend churn", steps: []faultStep{
+			{at: 0.25, kind: stepLeave, target: ext10ChurnIdx},
+			{at: 0.5, kind: stepJoin, target: ext10ChurnIdx},
+			{at: 0.7, kind: stepMark},
+		}},
+		{name: "kill+churn", steps: []faultStep{
+			kill,
+			{at: 0.4, kind: stepLeave, target: ext10ChurnIdx},
+			{at: 0.55, kind: stepJoin, target: ext10ChurnIdx},
+			{at: 0.7, kind: stepMark},
+		}, clockFrom: stepKill, clockBase: stepKill},
 	}
 
 	res := &Ext10Result{
@@ -152,74 +150,174 @@ func Ext10(seed uint64, quick bool) (*Ext10Result, error) {
 		WindowSeconds: win.Seconds(),
 	}
 	for _, sc := range scenarios {
-		row, err := ext10Run(sc, wantFrac, seed, win)
+		out, err := runFleetFaults(sc, seed, seed+10000, 3*time.Second, win)
 		if err != nil {
 			return nil, fmt.Errorf("ext10 %s: %w", sc.name, err)
 		}
-		res.Rows = append(res.Rows, *row)
+		row := Ext10Row{
+			Scenario:       sc.name,
+			Sent:           out.sent,
+			OK:             out.ok,
+			Shed:           out.shed,
+			Failed:         out.failed,
+			Availability:   out.share(out.ok + out.shed),
+			MeanSeconds:    out.mean,
+			Failovers:      out.failovers,
+			Elections:      out.elections,
+			FinalEpoch:     out.finalEpoch,
+			RecoverSeconds: out.failover,
+		}
+		for _, n := range out.post {
+			row.PostSamples += n
+		}
+		if row.PostSamples > 0 {
+			for j, want := range wantFrac {
+				got := float64(out.post[j]) / float64(row.PostSamples)
+				row.SplitDevPost = math.Max(row.SplitDevPost, math.Abs(got-want))
+			}
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// ext10Chaos is what the fault-injection goroutine reports back.
-type ext10Chaos struct {
-	err            error
-	recovered      bool
-	recoverSeconds float64
-	baseline       []int64 // survivor backend counts at measureFrac
+// faultKind is what one step of a fleet fault scenario does.
+type faultKind int
+
+const (
+	stepNone      faultKind = iota
+	stepPartition           // cut the control links between the step's groups
+	stepHeal                // restore every control link
+	stepKill                // crash a node, data plane included
+	stepRestart             // restart a killed node from its durable store at its old addresses
+	stepLeave               // drain a machine through a follower's membership endpoint
+	stepJoin                // re-activate a drained machine the same way
+	stepMark                // open the post-fault split window
+)
+
+// String names the kind; leave and join are also the membership ops.
+func (k faultKind) String() string {
+	return [...]string{"none", "partition", "heal", "kill", "restart", "leave", "join", "mark"}[k]
 }
 
-// ext10Run measures one scenario: backends up, a fleet of gateway replicas
-// over them, seeded open-loop load against all gateways, and the scenario's
-// control-plane events injected on schedule.
-func ext10Run(sc ext10Scenario, wantFrac []float64, seed uint64, win time.Duration) (*Ext10Row, error) {
-	machines := make([]fleet.Machine, len(ext10Rates))
-	backends := make([]*serve.Backend, len(ext10Rates))
-	defer func() {
-		for _, b := range backends {
-			if b != nil {
-				b.Close()
-			}
-		}
-	}()
-	for j, mu := range ext10Rates {
-		b, err := serve.NewBackend(serve.BackendConfig{Rate: mu, Seed: seed + uint64(10000+j)})
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Start(); err != nil {
-			return nil, err
-		}
-		backends[j] = b
-		machines[j] = fleet.Machine{URL: b.URL(), Rate: mu, Active: true}
+// faultStep is one timed step of a fleet fault scenario.
+type faultStep struct {
+	at     float64 // fraction of the window
+	kind   faultKind
+	target int     // the node killed or restarted, or the machine that leaves or joins
+	groups [][]int // a partition's nemesis groups
+}
+
+// faultScenario is one cell of a fleet fault grid.
+type faultScenario struct {
+	name  string
+	steps []faultStep // in time order
+	// The failover clock runs from the clockFrom step until nodes 1 and 2,
+	// the majority side of every fault here, agree on a leader with an
+	// installed epoch newer than node 1's at the clockBase step. A scenario
+	// with clockFrom stepNone has no clock.
+	clockFrom, clockBase faultKind
+	// watch lists the nodes whose quorum loss counts.
+	watch []int
+}
+
+// fleetOutcome is what one fleet fault scenario measured.
+type fleetOutcome struct {
+	loadTotals
+	mean       float64 // mean response time of OK requests
+	failovers  int64   // client transport failovers between gateways
+	elections  int64   // leadership assumptions by each node ID's latest instance
+	finalEpoch uint64  // highest table epoch installed on a live node at the end
+	failover   float64 // seconds on the failover clock, -1 without one
+	quorumLoss bool    // a watched node was seen below quorum
+	// post counts the requests the live nodes routed to each backend after
+	// the mark (nil without one).
+	post                         []int64
+	auditEvents, auditViolations int
+}
+
+// runFleetFaults measures one scenario on the EXT10 system: live backends
+// (backend j seeded backendSeed+j), a three-node fleet over them, seeded
+// open-loop load against every gateway, the scenario's steps on schedule,
+// and the audit verdict over the fleet's merged trace. The partitions and
+// heals compile into one nemesis armed when the window opens; without any,
+// the nodes get no link policy. This goroutine alone touches the nodes: it
+// runs each step when its time comes and samples the watched quorums and
+// the failover clock while it waits. A clock still running deadline after
+// its start fails the run.
+func runFleetFaults(sc faultScenario, seed, backendSeed uint64, deadline, win time.Duration) (*fleetOutcome, error) {
+	urls, stopBackends, err := startBackends(ext10Rates, backendSeed)
+	if err != nil {
+		return nil, err
+	}
+	defer stopBackends()
+	machines := make([]fleet.Machine, len(urls))
+	for j, u := range urls {
+		machines[j] = fleet.Machine{URL: u, Rate: ext10Rates[j], Active: true}
 	}
 
-	nodes := make([]*fleet.Node, ext10Gateways)
-	peers := make([]string, ext10Gateways)
-	targets := make([]string, ext10Gateways)
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				_ = n.Kill()
-			}
+	dir, err := os.MkdirTemp("", "nashlb-fleet-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	offset := func(frac float64) time.Duration { return time.Duration(frac * float64(win)) }
+	var events []dist.NemesisEvent
+	durable := make([]string, ext10Gateways)
+	for _, st := range sc.steps {
+		switch st.kind {
+		case stepPartition, stepHeal:
+			events = append(events, dist.NemesisEvent{At: offset(st.at), Partition: st.groups})
+		case stepRestart:
+			// A node restarts from what it persisted before the crash.
+			durable[st.target] = filepath.Join(dir, strconv.Itoa(st.target))
 		}
-	}()
-	for i := range nodes {
-		n, err := fleet.NewNode(fleet.Config{
-			ID:       i,
+	}
+	var nem *dist.Nemesis
+	if len(events) > 0 {
+		if nem, err = dist.NewNemesis(ext10Gateways, seed+777, events); err != nil {
+			return nil, err
+		}
+	}
+
+	tr := &audit.Trace{}
+	newNode := func(id int, ctrlAddr, gwAddr string) (*fleet.Node, error) {
+		cfg := fleet.Config{
+			ID:       id,
 			Machines: machines,
 			Arrivals: ext10Arrivals,
-			Gateway:  serve.GatewayConfig{Seed: seed + uint64(i), Timeout: 2 * time.Second},
+			Gateway:  serve.GatewayConfig{Seed: seed + uint64(id), Timeout: 2 * time.Second, Addr: gwAddr},
 			// Fast estimate tracking: after a kill the survivors absorb the
 			// dead gateway's traffic share within a couple of windows.
 			EstimateAlpha: 0.5,
 			EstimateEvery: 100 * time.Millisecond,
-		})
-		if err != nil {
+			Addr:          ctrlAddr,
+			DurableDir:    durable[id],
+			Seed:          seed + 100 + uint64(id),
+			Trace:         tr,
+		}
+		if nem != nil { // a nil *Nemesis would still be a non-nil policy
+			cfg.Link = nem
+		}
+		return fleet.NewNode(cfg)
+	}
+	// nodes holds each ID's latest instance; dead marks the killed ones.
+	nodes := make([]*fleet.Node, ext10Gateways)
+	dead := make([]bool, ext10Gateways)
+	defer func() {
+		for i, n := range nodes {
+			if n != nil && !dead[i] {
+				_ = n.Kill()
+			}
+		}
+	}()
+	peers := make([]string, ext10Gateways)
+	targets := make([]string, ext10Gateways)
+	for i := range nodes {
+		if nodes[i], err = newNode(i, "", ""); err != nil {
 			return nil, err
 		}
-		nodes[i] = n
-		peers[i] = n.ControlURL()
+		peers[i] = nodes[i].ControlURL()
 	}
 	for i, n := range nodes {
 		if err := n.Start(peers); err != nil {
@@ -227,142 +325,170 @@ func ext10Run(sc ext10Scenario, wantFrac []float64, seed uint64, win time.Durati
 		}
 		targets[i] = n.GatewayURL()
 	}
-
-	// Aggregate backend counts over the gateways that survive the scenario
-	// (the equilibrium claim is about their combined routing).
-	survivors := nodes
-	if sc.kill {
-		survivors = nodes[1:]
-	}
-	counts := func() []int64 {
-		out := make([]int64, len(machines))
-		for _, n := range survivors {
-			snap := n.Gateway().Metrics()
-			for j, c := range snap.BackendRequests {
-				out[j] += c
+	// served counts the requests the live nodes routed to each backend.
+	served := func() []int64 {
+		counts := make([]int64, len(machines))
+		for i, n := range nodes {
+			if !dead[i] {
+				for j, c := range n.Gateway().Metrics().BackendRequests {
+					counts[j] += c
+				}
 			}
 		}
-		return out
+		return counts
 	}
-	// Membership requests go to the highest-ID replica — always a follower,
-	// so churn scenarios exercise the forwarding path too.
-	ctrl := nodes[len(nodes)-1].ControlURL()
+
+	out := &fleetOutcome{failover: -1}
+	var clockAt time.Time
+	var baseEpoch uint64
+	clockRunning := func() bool { return !clockAt.IsZero() && out.failover < 0 }
+	sample := func() error {
+		for _, id := range sc.watch {
+			if !dead[id] && !nodes[id].QuorumOK() {
+				out.quorumLoss = true
+			}
+		}
+		if !clockRunning() {
+			return nil
+		}
+		lead := nodes[1].Leader()
+		agreed := lead >= 0
+		for _, id := range []int{1, 2} {
+			e, _ := nodes[id].TableEpoch()
+			agreed = agreed && !dead[id] && nodes[id].Leader() == lead && e > baseEpoch
+		}
+		switch {
+		case agreed:
+			out.failover = time.Since(clockAt).Seconds()
+		case time.Since(clockAt) > deadline:
+			return fmt.Errorf("nodes 1 and 2 did not agree on a leader past epoch %d within %v of the %s",
+				baseEpoch, deadline, sc.clockFrom)
+		}
+		return nil
+	}
+	wait := func(until time.Time) error {
+		for {
+			if err := sample(); err != nil {
+				return err
+			}
+			d := time.Until(until)
+			if d <= 0 {
+				return nil
+			}
+			time.Sleep(min(d, 10*time.Millisecond))
+		}
+	}
+	// A follower forwards a membership op to the leader with a 2.25 s
+	// timeout; this one lets its answer come back.
+	client := &http.Client{Timeout: 3 * time.Second}
+	defer client.CloseIdleConnections()
+	var mark []int64
+	do := func(st faultStep) error {
+		if st.kind == sc.clockBase {
+			baseEpoch, _ = nodes[1].TableEpoch()
+		}
+		if st.kind == sc.clockFrom {
+			clockAt = time.Now()
+		}
+		switch st.kind {
+		case stepKill:
+			dead[st.target] = true
+			if err := nodes[st.target].Kill(); err != nil {
+				return fmt.Errorf("kill node %d: %w", st.target, err)
+			}
+		case stepRestart:
+			n, err := newNode(st.target, strings.TrimPrefix(peers[st.target], "http://"),
+				strings.TrimPrefix(targets[st.target], "http://"))
+			if err == nil {
+				nodes[st.target], dead[st.target] = n, false
+				err = n.Start(peers)
+			}
+			if err != nil {
+				return fmt.Errorf("restart node %d: %w", st.target, err)
+			}
+		case stepLeave, stepJoin:
+			// The highest-ID replica is always a follower, so membership ops
+			// exercise the forwarding path too.
+			return postMachineOp(client, peers[ext10Gateways-1], st.kind.String(), machines[st.target].URL)
+		case stepMark:
+			mark = served()
+		}
+		return nil
+	}
 
 	start := time.Now()
-	at := func(frac float64) {
-		if d := time.Until(start.Add(time.Duration(frac * float64(win)))); d > 0 {
-			time.Sleep(d)
+	if nem != nil {
+		nem.Start()
+	}
+	var load *serve.LoadResult
+	loadErr := make(chan error, 1)
+	go func() {
+		var err error
+		load, err = serve.RunLoad(serve.LoadConfig{
+			Targets:  targets,
+			Arrivals: ext10Arrivals,
+			Duration: win,
+			Warmup:   win / 8,
+			Seed:     seed,
+		})
+		loadErr <- err
+	}()
+	for _, st := range sc.steps {
+		if err = wait(start.Add(offset(st.at))); err == nil {
+			err = do(st)
+		}
+		if err != nil {
+			break
 		}
 	}
-	chaosDone := make(chan ext10Chaos, 1)
-	go func() {
-		var out ext10Chaos
-		defer func() { chaosDone <- out }()
-		if sc.kill {
-			at(sc.killFrac)
-			killedAt := time.Now()
-			if err := nodes[0].Kill(); err != nil {
-				out.err = fmt.Errorf("leader kill: %w", err)
-				return
-			}
-			deadline := killedAt.Add(3 * time.Second)
-			for time.Now().Before(deadline) && !out.recovered {
-				out.recovered = true
-				for _, n := range survivors {
-					e, _ := n.TableEpoch()
-					if n.Leader() != 1 || e < 2 {
-						out.recovered = false
-						break
-					}
-				}
-				if !out.recovered {
-					time.Sleep(10 * time.Millisecond)
-				}
-			}
-			out.recoverSeconds = time.Since(killedAt).Seconds()
+	// Sample until the window closes; a running failover clock may outlast it.
+	windowOpen := true
+	for err == nil && (windowOpen || clockRunning()) {
+		select {
+		case lerr := <-loadErr:
+			windowOpen, err = false, lerr
+		default:
+			err = wait(time.Now().Add(10 * time.Millisecond))
 		}
-		if sc.churn {
-			at(sc.leaveFrac)
-			if err := ext10Membership(ctrl, "leave", machines[ext10ChurnIdx].URL); err != nil {
-				out.err = err
-				return
-			}
-			at(sc.joinFrac)
-			if err := ext10Membership(ctrl, "join", machines[ext10ChurnIdx].URL); err != nil {
-				out.err = err
-				return
-			}
+	}
+	if windowOpen {
+		if lerr := <-loadErr; err == nil {
+			err = lerr
 		}
-		at(sc.measureFrac)
-		out.baseline = counts()
-	}()
-
-	load, err := serve.RunLoad(serve.LoadConfig{
-		Targets:  targets,
-		Arrivals: ext10Arrivals,
-		Duration: win,
-		Warmup:   win / 8,
-		Seed:     seed,
-	})
+	}
 	if err != nil {
 		return nil, err
 	}
-	chaos := <-chaosDone
-	if chaos.err != nil {
-		return nil, chaos.err
-	}
-	if sc.kill && !chaos.recovered {
-		return nil, fmt.Errorf("fleet did not re-elect and re-solve within 3s of the leader kill")
-	}
 
-	row := &Ext10Row{Scenario: sc.name, MeanSeconds: load.Mean, Failovers: load.Failovers}
-	for i := range load.Sent {
-		row.Sent += load.Sent[i]
-		row.OK += load.OK[i]
-		row.Shed += load.Shed[i]
-		row.Failed += load.Failed[i]
-	}
-	if row.Sent > 0 {
-		row.Availability = float64(row.OK+row.Shed) / float64(row.Sent)
-	}
-	row.RecoverSeconds = -1
-	if sc.kill {
-		row.RecoverSeconds = chaos.recoverSeconds
-	}
-	for _, n := range nodes {
-		row.Elections += n.Elections()
-	}
-	for _, n := range survivors {
-		if e, _ := n.TableEpoch(); e > row.FinalEpoch {
-			row.FinalEpoch = e
+	out.loadTotals = totalsOf(load)
+	out.mean, out.failovers = load.Mean, load.Failovers
+	for i, n := range nodes {
+		out.elections += n.Elections()
+		if e, _ := n.TableEpoch(); !dead[i] && e > out.finalEpoch {
+			out.finalEpoch = e
 		}
 	}
-
-	final := counts()
-	for j := range final {
-		row.PostSamples += final[j] - chaos.baseline[j]
-	}
-	if row.PostSamples > 0 {
-		for j, want := range wantFrac {
-			got := float64(final[j]-chaos.baseline[j]) / float64(row.PostSamples)
-			if d := math.Abs(got - want); d > row.SplitDevPost {
-				row.SplitDevPost = d
-			}
+	if mark != nil {
+		out.post = served()
+		for j := range out.post {
+			out.post[j] -= mark[j]
 		}
 	}
-	return row, nil
+	evs := tr.Events()
+	out.auditEvents, out.auditViolations = len(evs), len(audit.Check(evs))
+	return out, nil
 }
 
-// ext10Membership posts one machine op against a replica's control plane,
+// postMachineOp posts one membership op to a replica's control plane,
 // retrying briefly through leadership churn (503s).
-func ext10Membership(ctrl, op, url string) error {
+func postMachineOp(client *http.Client, ctrl, op, url string) error {
 	body, err := fleet.EncodeMachineOp(fleet.MachineOp{Op: op, URL: url})
 	if err != nil {
 		return err
 	}
 	var last error
 	for attempt := 0; attempt < 5; attempt++ {
-		resp, err := http.Post(ctrl+"/fleet/machines", "application/json", bytes.NewReader(body))
+		resp, err := client.Post(ctrl+"/fleet/machines", "application/json", bytes.NewReader(body))
 		if err != nil {
 			last = err
 		} else {
@@ -371,14 +497,14 @@ func ext10Membership(ctrl, op, url string) error {
 			if resp.StatusCode == http.StatusOK {
 				return nil
 			}
-			last = fmt.Errorf("%s %s: %s: %s", op, url, resp.Status, bytes.TrimSpace(out))
+			last = fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(out))
 			if resp.StatusCode != http.StatusServiceUnavailable {
 				break
 			}
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	return fmt.Errorf("ext10 membership: %w", last)
+	return fmt.Errorf("membership %s %s: %w", op, url, last)
 }
 
 // Table renders the fleet fault grid.

@@ -22,45 +22,47 @@ type Ext11Row struct {
 	// Machines, Classes and Users describe the system size: Users individual
 	// selfish users aggregated into Classes user classes over Machines
 	// M/M/1 machines at utilization 0.7.
-	Machines int
-	Classes  int
-	Users    int64
+	Machines int   `json:"machines"`
+	Classes  int   `json:"classes"`
+	Users    int64 `json:"users"`
 	// Rounds, Solves and Skips summarize the incremental best-reply run:
 	// round-robin sweeps to convergence, per-class best responses actually
 	// recomputed, and class visits skipped because no machine in the class's
 	// span changed since its last solve.
-	Rounds int
-	Solves int64
-	Skips  int64
+	Rounds int   `json:"rounds"`
+	Solves int64 `json:"solves"`
+	Skips  int64 `json:"skips"`
 	// SolveSeconds is the wall-clock solve time; StateMB the solver's
 	// resident working state (per-type profile + caches); HeapDeltaMB the heap
 	// growth across the solve as seen by runtime.MemStats.
-	SolveSeconds float64
-	StateMB      float64
-	HeapDeltaMB  float64
+	SolveSeconds float64 `json:"solve_seconds"`
+	StateMB      float64 `json:"state_mb"`
+	HeapDeltaMB  float64 `json:"heap_delta_mb"`
 	// OverallTime is the population's expected response time D at the
 	// computed equilibrium.
-	OverallTime float64
+	OverallTime float64 `json:"overall_seconds"`
 	// MaxDeviation is the equilibrium certificate: the largest relative
 	// response-time improvement any single user could get by unilaterally
 	// re-optimizing against the final loads.
-	MaxDeviation float64
+	MaxDeviation float64 `json:"max_deviation"`
 	// DenseLoadDev is the largest per-machine load deviation against the
 	// dense per-user core.Solve on the expanded system, as a fraction of the
 	// total arrival rate; only measured where the expansion is tractable
-	// (negative means not measured).
-	DenseLoadDev float64
+	// (nil means not measured).
+	DenseLoadDev *float64 `json:"dense_load_dev,omitempty"`
 }
 
-// Ext11Result is the scaling sweep.
+// Ext11Result is the scaling sweep. Its JSON form is the ext11 section of
+// BENCH_core.json.
 type Ext11Result struct {
+	Experiment string `json:"experiment"`
 	// Utilization is the offered load fraction shared by every row.
-	Utilization float64
+	Utilization float64 `json:"utilization"`
 	// Epsilon notes the convergence bar as a per-user tolerance; each row's
 	// absolute tolerance is Epsilon times its user count (the class norm
 	// aggregates member shifts, so the bar must scale with the population).
-	Epsilon float64
-	Rows    []Ext11Row
+	Epsilon float64    `json:"eps_per_user"`
+	Rows    []Ext11Row `json:"points"`
 }
 
 // ext11PerUserEps is each row's convergence tolerance per user: the solver's
@@ -135,7 +137,7 @@ func Ext11(quick bool) (*Ext11Result, error) {
 	}
 
 	const rho = 0.7
-	res := &Ext11Result{Utilization: rho, Epsilon: ext11PerUserEps}
+	res := &Ext11Result{Experiment: "ext11_megascale", Utilization: rho, Epsilon: ext11PerUserEps}
 	for _, pt := range points {
 		row, err := ext11Point(pt.machines, pt.classes, pt.users, rho, pt.dense)
 		if err != nil {
@@ -179,7 +181,6 @@ func ext11Point(machines, classes int, users int64, rho float64, dense bool) (*E
 		StateMB:      float64(out.StateBytes) / (1 << 20),
 		HeapDeltaMB:  float64(after.HeapAlloc) - float64(before.HeapAlloc),
 		OverallTime:  out.OverallTime,
-		DenseLoadDev: -1,
 	}
 	row.HeapDeltaMB /= 1 << 20
 
@@ -195,7 +196,7 @@ func ext11Point(machines, classes int, users int64, rho float64, dense bool) (*E
 		if err != nil {
 			return nil, err
 		}
-		row.DenseLoadDev = dev
+		row.DenseLoadDev = &dev
 	}
 	return row, nil
 }
@@ -232,8 +233,8 @@ func (r *Ext11Result) Table() *report.Table {
 		"solve (s)", "state (MB)", "heap +MB", "overall D (s)", "max dev", "dense load dev")
 	for _, row := range r.Rows {
 		denseDev := "-"
-		if row.DenseLoadDev >= 0 {
-			denseDev = report.F(row.DenseLoadDev, 3)
+		if row.DenseLoadDev != nil {
+			denseDev = report.F(*row.DenseLoadDev, 3)
 		}
 		t.AddRow(
 			fmt.Sprintf("%d", row.Machines),
@@ -253,55 +254,7 @@ func (r *Ext11Result) Table() *report.Table {
 	return t
 }
 
-// ext11Bench is the machine-readable shape of an EXT11 run, embedded into
-// BENCH_core.json by cmd/benchjson (schema nashlb/bench-core/v2).
-type ext11Bench struct {
-	Experiment  string       `json:"experiment"`
-	Utilization float64      `json:"utilization"`
-	EpsPerUser  float64      `json:"eps_per_user"`
-	Points      []ext11Entry `json:"points"`
-}
-
-type ext11Entry struct {
-	Machines     int     `json:"machines"`
-	Classes      int     `json:"classes"`
-	Users        int64   `json:"users"`
-	Rounds       int     `json:"rounds"`
-	Solves       int64   `json:"solves"`
-	Skips        int64   `json:"skips"`
-	SolveSeconds float64 `json:"solve_seconds"`
-	StateMB      float64 `json:"state_mb"`
-	HeapDeltaMB  float64 `json:"heap_delta_mb"`
-	OverallTime  float64 `json:"overall_seconds"`
-	MaxDeviation float64 `json:"max_deviation"`
-	DenseLoadDev float64 `json:"dense_load_dev,omitempty"`
-}
-
 // BenchJSON renders the sweep in machine-readable form for BENCH_core.json.
 func (r *Ext11Result) BenchJSON() ([]byte, error) {
-	out := ext11Bench{
-		Experiment:  "ext11_megascale",
-		Utilization: r.Utilization,
-		EpsPerUser:  r.Epsilon,
-	}
-	for _, row := range r.Rows {
-		e := ext11Entry{
-			Machines:     row.Machines,
-			Classes:      row.Classes,
-			Users:        row.Users,
-			Rounds:       row.Rounds,
-			Solves:       row.Solves,
-			Skips:        row.Skips,
-			SolveSeconds: row.SolveSeconds,
-			StateMB:      row.StateMB,
-			HeapDeltaMB:  row.HeapDeltaMB,
-			OverallTime:  row.OverallTime,
-			MaxDeviation: row.MaxDeviation,
-		}
-		if row.DenseLoadDev >= 0 {
-			e.DenseLoadDev = row.DenseLoadDev
-		}
-		out.Points = append(out.Points, e)
-	}
-	return json.MarshalIndent(out, "", "  ")
+	return json.MarshalIndent(r, "", "  ")
 }

@@ -2,15 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"strings"
 	"time"
 
-	"nashlb/internal/dist"
-	"nashlb/internal/fleet"
-	"nashlb/internal/fleet/audit"
 	"nashlb/internal/report"
-	"nashlb/internal/serve"
 )
 
 // ---------------------------------------------------------------------------
@@ -46,10 +40,11 @@ type Ext12Row struct {
 	// highest table epoch installed on any node at the end.
 	Elections  int64  `json:"elections"`
 	FinalEpoch uint64 `json:"final_epoch"`
-	// FailoverSeconds is the time from the fault (partition start, or the
-	// crashed node's restart in the compound scenario) until the majority
-	// side had a leader and a strictly newer epoch installed (-1 when the
-	// scenario deposes nobody).
+	// FailoverSeconds is the failover clock from the fault (partition start,
+	// or the crashed node's restart in the compound scenario) until the
+	// majority side, nodes 1 and 2, agreed on a leader with a newer epoch
+	// installed than at the partition start (-1 when the scenario deposes
+	// nobody).
 	FailoverSeconds float64 `json:"failover_seconds"`
 	// QuorumLossObserved reports whether some node correctly dropped into
 	// degraded minority mode during the scenario.
@@ -72,25 +67,6 @@ type Ext12Result struct {
 	Rows          []Ext12Row `json:"scenarios"`
 }
 
-// ext12Scenario schedules one scenario's faults as fractions of the window.
-type ext12Scenario struct {
-	name      string
-	partition [][]int // nemesis groups cut in at partFrac (nil = no partition)
-	partFrac  float64
-	healFrac  float64
-	// The compound scenario kills node crashID at crashFrac and restarts it
-	// from its durable snapshot (same control and gateway addresses) at
-	// restartFrac, while the partition still isolates node 0.
-	crash       bool
-	crashID     int
-	crashFrac   float64
-	restartFrac float64
-	// deposes says the fault forces a leadership change, so FailoverSeconds
-	// is measured (from the partition start, or from the restart when
-	// crashing).
-	deposes bool
-}
-
 // Ext12 measures partition tolerance across four scenarios: a clean
 // baseline, a minority partition (one follower isolated — the data plane
 // must not notice), a leader-side partition (the majority must depose and
@@ -103,13 +79,26 @@ func Ext12(seed uint64, quick bool) (*Ext12Result, error) {
 	if quick {
 		win = 6 * time.Second
 	}
-	scenarios := []ext12Scenario{
+	isolate := func(at float64, node int) faultStep {
+		return faultStep{at: at, kind: stepPartition, groups: [][]int{{node}}}
+	}
+	heal := func(at float64) faultStep { return faultStep{at: at, kind: stepHeal} }
+	scenarios := []faultScenario{
 		{name: "clean"},
-		{name: "minority partition", partition: [][]int{{2}}, partFrac: 0.25, healFrac: 0.65},
-		{name: "leader partition", partition: [][]int{{0}}, partFrac: 0.25, healFrac: 0.65,
-			deposes: true},
-		{name: "partition+crash", partition: [][]int{{0}}, partFrac: 0.15, healFrac: 0.75,
-			crash: true, crashID: 1, crashFrac: 0.3, restartFrac: 0.5, deposes: true},
+		// The isolated follower must degrade.
+		{name: "minority partition", steps: []faultStep{isolate(0.25, 2), heal(0.65)}, watch: []int{2}},
+		// The majority must depose node 0 and install a newer reign's table.
+		{name: "leader partition", steps: []faultStep{isolate(0.25, 0), heal(0.65)},
+			clockFrom: stepPartition, clockBase: stepPartition, watch: []int{0}},
+		// With node 0 cut off, the durable node 1 crashes and leaves node 2
+		// a minority that must degrade, not elect itself; node 1 restarts
+		// from its snapshot at its old addresses and re-forms a majority.
+		{name: "partition+crash", steps: []faultStep{
+			isolate(0.15, 0),
+			{at: 0.3, kind: stepKill, target: 1},
+			{at: 0.5, kind: stepRestart, target: 1},
+			heal(0.75),
+		}, clockFrom: stepRestart, clockBase: stepPartition, watch: []int{2}},
 	}
 	res := &Ext12Result{
 		Experiment:    "ext12_partition",
@@ -119,275 +108,28 @@ func Ext12(seed uint64, quick bool) (*Ext12Result, error) {
 		WindowSeconds: win.Seconds(),
 	}
 	for _, sc := range scenarios {
-		row, err := ext12Run(sc, seed, win)
+		out, err := runFleetFaults(sc, seed, seed+12000, 4*time.Second, win)
 		if err != nil {
 			return nil, fmt.Errorf("ext12 %s: %w", sc.name, err)
 		}
-		res.Rows = append(res.Rows, *row)
+		res.Rows = append(res.Rows, Ext12Row{
+			Scenario:           sc.name,
+			Sent:               out.sent,
+			OK:                 out.ok,
+			Shed:               out.shed,
+			Failed:             out.failed,
+			Availability:       out.share(out.ok + out.shed),
+			MeanSeconds:        out.mean,
+			Failovers:          out.failovers,
+			Elections:          out.elections,
+			FinalEpoch:         out.finalEpoch,
+			FailoverSeconds:    out.failover,
+			QuorumLossObserved: out.quorumLoss,
+			AuditEvents:        out.auditEvents,
+			AuditViolations:    out.auditViolations,
+		})
 	}
 	return res, nil
-}
-
-// ext12Chaos is what the fault-injection goroutine reports back.
-type ext12Chaos struct {
-	err             error
-	failoverSeconds float64
-	sawQuorumLoss   bool
-}
-
-// ext12Run measures one scenario: live backends, a three-node fleet over
-// them with the nemesis wired into every control link, seeded open-loop
-// load, the scenario's partition/crash/restart events on schedule, and the
-// audit verdict over the merged trace.
-func ext12Run(sc ext12Scenario, seed uint64, win time.Duration) (*Ext12Row, error) {
-	machines := make([]fleet.Machine, len(ext10Rates))
-	backends := make([]*serve.Backend, len(ext10Rates))
-	defer func() {
-		for _, b := range backends {
-			if b != nil {
-				b.Close()
-			}
-		}
-	}()
-	for j, mu := range ext10Rates {
-		b, err := serve.NewBackend(serve.BackendConfig{Rate: mu, Seed: seed + uint64(12000+j)})
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Start(); err != nil {
-			return nil, err
-		}
-		backends[j] = b
-		machines[j] = fleet.Machine{URL: b.URL(), Rate: mu, Active: true}
-	}
-
-	// The nemesis schedule is compiled up front (partition at its own t=0,
-	// heal after the partitioned interval) and armed at partFrac.
-	var nem *dist.Nemesis
-	if sc.partition != nil {
-		healAfter := time.Duration((sc.healFrac - sc.partFrac) * float64(win))
-		var err error
-		nem, err = dist.NewNemesis(ext10Gateways, seed+777, []dist.NemesisEvent{
-			{At: 0, Partition: sc.partition},
-			{At: healAfter},
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	tr := &audit.Trace{}
-
-	var durableDir string
-	if sc.crash {
-		dir, err := os.MkdirTemp("", "ext12-durable-")
-		if err != nil {
-			return nil, err
-		}
-		durableDir = dir
-		defer os.RemoveAll(dir)
-	}
-
-	mkNode := func(id int, ctrlAddr, gwAddr string) (*fleet.Node, error) {
-		cfg := fleet.Config{
-			ID:       id,
-			Machines: machines,
-			Arrivals: ext10Arrivals,
-			Gateway:  serve.GatewayConfig{Seed: seed + uint64(id), Timeout: 2 * time.Second, Addr: gwAddr},
-			// Fast estimate tracking, as in EXT10.
-			EstimateAlpha: 0.5,
-			EstimateEvery: 100 * time.Millisecond,
-			Addr:          ctrlAddr,
-			Seed:          seed + 100 + uint64(id),
-			Trace:         tr,
-		}
-		if nem != nil {
-			cfg.Link = nem
-		}
-		if sc.crash && id == sc.crashID {
-			cfg.DurableDir = durableDir
-		}
-		return fleet.NewNode(cfg)
-	}
-
-	nodes := make([]*fleet.Node, ext10Gateways)
-	peers := make([]string, ext10Gateways)
-	targets := make([]string, ext10Gateways)
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				_ = n.Kill()
-			}
-		}
-	}()
-	for i := range nodes {
-		n, err := mkNode(i, "", "")
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-		peers[i] = n.ControlURL()
-	}
-	for i, n := range nodes {
-		if err := n.Start(peers); err != nil {
-			return nil, err
-		}
-		targets[i] = n.GatewayURL()
-	}
-
-	start := time.Now()
-	at := func(frac float64) {
-		if d := time.Until(start.Add(time.Duration(frac * float64(win)))); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	// waitMajority polls until the given nodes agree on a leader among
-	// themselves with an installed epoch beyond `after`.
-	waitMajority := func(members []int, after uint64, deadline time.Duration) bool {
-		until := time.Now().Add(deadline)
-		for time.Now().Before(until) {
-			ok := true
-			lead := nodes[members[0]].Leader()
-			for _, id := range members {
-				e, _ := nodes[id].TableEpoch()
-				if l := nodes[id].Leader(); l != lead || l < 0 || e <= after {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
-			time.Sleep(15 * time.Millisecond)
-		}
-		return false
-	}
-
-	chaosDone := make(chan ext12Chaos, 1)
-	go func() {
-		var out ext12Chaos
-		out.failoverSeconds = -1
-		defer func() { chaosDone <- out }()
-		if nem == nil {
-			return
-		}
-		at(sc.partFrac)
-		epochAtPart, _ := nodes[1].TableEpoch()
-		partStart := time.Now()
-		nem.Start()
-
-		if sc.crash {
-			// Compound: the partition isolates node 0; then the durable node
-			// crashes, leaving the last node below quorum (it must degrade,
-			// not elect itself); the durable node restarts from its snapshot
-			// at the same addresses and re-forms a majority with it.
-			at(sc.crashFrac)
-			ctrlAddr := strings.TrimPrefix(nodes[sc.crashID].ControlURL(), "http://")
-			gwAddr := nodes[sc.crashID].Gateway().Addr()
-			if err := nodes[sc.crashID].Kill(); err != nil {
-				out.err = fmt.Errorf("crash node %d: %w", sc.crashID, err)
-				return
-			}
-			nodes[sc.crashID] = nil
-			// While it is down, the remaining connected node is a minority.
-			lossDeadline := start.Add(time.Duration(sc.restartFrac * float64(win)))
-			for time.Now().Before(lossDeadline) {
-				if !nodes[2].QuorumOK() {
-					out.sawQuorumLoss = true
-					break
-				}
-				time.Sleep(15 * time.Millisecond)
-			}
-			at(sc.restartFrac)
-			restartAt := time.Now()
-			n, err := mkNode(sc.crashID, ctrlAddr, gwAddr)
-			if err != nil {
-				out.err = fmt.Errorf("restart node %d: %w", sc.crashID, err)
-				return
-			}
-			if err := n.Start(peers); err != nil {
-				out.err = fmt.Errorf("restart node %d: %w", sc.crashID, err)
-				return
-			}
-			nodes[sc.crashID] = n
-			if !waitMajority([]int{1, 2}, epochAtPart, 4*time.Second) {
-				out.err = fmt.Errorf("majority {1,2} did not re-form within 4s of the restart")
-				return
-			}
-			out.failoverSeconds = time.Since(restartAt).Seconds()
-		} else if sc.deposes {
-			// Leader partition: the majority side must depose node 0 and
-			// install a newer reign's table.
-			if !waitMajority([]int{1, 2}, epochAtPart, 4*time.Second) {
-				out.err = fmt.Errorf("majority {1,2} did not re-elect within 4s of the partition")
-				return
-			}
-			out.failoverSeconds = time.Since(partStart).Seconds()
-			until := start.Add(time.Duration(sc.healFrac * float64(win)))
-			for time.Now().Before(until) {
-				if !nodes[0].QuorumOK() {
-					out.sawQuorumLoss = true
-					break
-				}
-				time.Sleep(15 * time.Millisecond)
-			}
-		} else {
-			// Minority partition: the isolated follower must degrade.
-			until := start.Add(time.Duration(sc.healFrac * float64(win)))
-			for time.Now().Before(until) {
-				if !nodes[2].QuorumOK() {
-					out.sawQuorumLoss = true
-					break
-				}
-				time.Sleep(15 * time.Millisecond)
-			}
-		}
-	}()
-
-	load, err := serve.RunLoad(serve.LoadConfig{
-		Targets:  targets,
-		Arrivals: ext10Arrivals,
-		Duration: win,
-		Warmup:   win / 8,
-		Seed:     seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	chaos := <-chaosDone
-	if chaos.err != nil {
-		return nil, chaos.err
-	}
-
-	row := &Ext12Row{
-		Scenario:           sc.name,
-		MeanSeconds:        load.Mean,
-		Failovers:          load.Failovers,
-		FailoverSeconds:    chaos.failoverSeconds,
-		QuorumLossObserved: chaos.sawQuorumLoss,
-	}
-	for i := range load.Sent {
-		row.Sent += load.Sent[i]
-		row.OK += load.OK[i]
-		row.Shed += load.Shed[i]
-		row.Failed += load.Failed[i]
-	}
-	if row.Sent > 0 {
-		row.Availability = float64(row.OK+row.Shed) / float64(row.Sent)
-	}
-	for _, n := range nodes {
-		if n == nil {
-			continue
-		}
-		row.Elections += n.Elections()
-		if e, _ := n.TableEpoch(); e > row.FinalEpoch {
-			row.FinalEpoch = e
-		}
-	}
-
-	evs := tr.Events()
-	row.AuditEvents = len(evs)
-	row.AuditViolations = len(audit.Check(evs))
-	return row, nil
 }
 
 // Table renders the partition fault grid.

@@ -138,27 +138,11 @@ func Ext9(seed uint64, quick bool) (*Ext9Result, error) {
 // ext9Run measures one scenario: backends up, chaos proxy on the faulty
 // one, self-healing gateway, seeded open-loop load.
 func ext9Run(sc ext9Scenario, profile game.Profile, seed uint64, win time.Duration) (*Ext9Row, error) {
-	n := len(ext9Rates)
-	backends := make([]*serve.Backend, n)
-	urls := make([]string, n)
-	defer func() {
-		for _, b := range backends {
-			if b != nil {
-				b.Close()
-			}
-		}
-	}()
-	for j, mu := range ext9Rates {
-		b, err := serve.NewBackend(serve.BackendConfig{Rate: mu, Seed: seed + uint64(9000+j)})
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Start(); err != nil {
-			return nil, err
-		}
-		backends[j] = b
-		urls[j] = b.URL()
+	urls, stopBackends, err := startBackends(ext9Rates, seed+9000)
+	if err != nil {
+		return nil, err
 	}
+	defer stopBackends()
 	proxy, err := serve.NewChaosProxy(serve.ChaosProxyConfig{
 		Target:   urls[ext9FaultIdx],
 		Seed:     seed + 99,
@@ -204,19 +188,19 @@ func ext9Run(sc ext9Scenario, profile game.Profile, seed uint64, win time.Durati
 		return nil, err
 	}
 
-	row := &Ext9Row{Scenario: sc.name, MeanSeconds: load.Mean}
-	for i := range load.Sent {
-		row.Sent += load.Sent[i]
-		row.OK += load.OK[i]
-		row.Shed += load.Shed[i]
-		row.Failed += load.Failed[i]
-	}
-	if row.Sent > 0 {
-		row.Availability = float64(row.OK) / float64(row.Sent)
-	}
+	tot := totalsOf(load)
 	snap := g.Metrics()
-	row.BreakerOpens = snap.BreakerOpens
-	row.Reequilibrations = snap.Reequilibrations
+	row := &Ext9Row{
+		Scenario:         sc.name,
+		Sent:             tot.sent,
+		OK:               tot.ok,
+		Shed:             tot.shed,
+		Failed:           tot.failed,
+		Availability:     tot.share(tot.ok),
+		MeanSeconds:      load.Mean,
+		BreakerOpens:     snap.BreakerOpens,
+		Reequilibrations: snap.Reequilibrations,
+	}
 	var served int64
 	for _, c := range snap.BackendRequests {
 		served += c

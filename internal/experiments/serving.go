@@ -195,26 +195,11 @@ type ext8LiveRun struct {
 // the open-loop Poisson loadgen over loopback sockets, and reads the
 // empirical split back from the gateway's own metrics.
 func ext8Live(profile game.Profile, seed uint64, dur time.Duration) (*ext8LiveRun, error) {
-	backends := make([]*serve.Backend, len(ext8Rates))
-	urls := make([]string, len(ext8Rates))
-	defer func() {
-		for _, b := range backends {
-			if b != nil {
-				b.Close()
-			}
-		}
-	}()
-	for j, mu := range ext8Rates {
-		b, err := serve.NewBackend(serve.BackendConfig{Rate: mu, Seed: seed + uint64(1000+j)})
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Start(); err != nil {
-			return nil, err
-		}
-		backends[j] = b
-		urls[j] = b.URL()
+	urls, stopBackends, err := startBackends(ext8Rates, seed+1000)
+	if err != nil {
+		return nil, err
 	}
+	defer stopBackends()
 	g, err := serve.NewGateway(serve.GatewayConfig{
 		Backends: urls,
 		Rates:    ext8Rates,
@@ -240,11 +225,9 @@ func ext8Live(profile game.Profile, seed uint64, dur time.Duration) (*ext8LiveRu
 	if err != nil {
 		return nil, err
 	}
-	for i := range load.Sent {
-		if load.Rejected[i] != 0 || load.Failed[i] != 0 {
-			return nil, fmt.Errorf("user %d: %d rejected, %d failed (want a clean run)",
-				i, load.Rejected[i], load.Failed[i])
-		}
+	tot := totalsOf(load)
+	if tot.rejected != 0 || tot.failed != 0 {
+		return nil, fmt.Errorf("%d rejected, %d failed (want a clean run)", tot.rejected, tot.failed)
 	}
 
 	snap := g.Metrics()
@@ -259,16 +242,63 @@ func ext8Live(profile game.Profile, seed uint64, dur time.Duration) (*ext8LiveRu
 	for j, c := range snap.BackendRequests {
 		split[j] = float64(c) / float64(total)
 	}
-	var ok int64
-	for _, n := range load.OK {
-		ok += n
-	}
 	return &ext8LiveRun{
 		mean:    load.Mean,
 		perUser: append([]float64(nil), load.MeanSeconds...),
 		split:   split,
-		jobs:    ok,
+		jobs:    tot.ok,
 	}, nil
+}
+
+// startBackends starts one in-process M/M/1 backend per rate, backend j
+// seeded seedBase+j, and returns their URLs with a function that closes
+// them all.
+func startBackends(rates []float64, seedBase uint64) ([]string, func(), error) {
+	var backends []*serve.Backend
+	stop := func() {
+		for _, b := range backends {
+			b.Close()
+		}
+	}
+	urls := make([]string, len(rates))
+	for j, mu := range rates {
+		b, err := serve.NewBackend(serve.BackendConfig{Rate: mu, Seed: seedBase + uint64(j)})
+		if err == nil {
+			err = b.Start()
+		}
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		backends = append(backends, b)
+		urls[j] = b.URL()
+	}
+	return urls, stop, nil
+}
+
+// loadTotals sums a load run's post-warmup outcomes over its users.
+type loadTotals struct {
+	sent, ok, shed, rejected, failed int64
+}
+
+func totalsOf(load *serve.LoadResult) loadTotals {
+	var t loadTotals
+	for i := range load.Sent {
+		t.sent += load.Sent[i]
+		t.ok += load.OK[i]
+		t.shed += load.Shed[i]
+		t.rejected += load.Rejected[i]
+		t.failed += load.Failed[i]
+	}
+	return t
+}
+
+// share is n as a fraction of the requests sent (0 when none were).
+func (t loadTotals) share(n int64) float64 {
+	if t.sent == 0 {
+		return 0
+	}
+	return float64(n) / float64(t.sent)
 }
 
 // Table renders the comparison.

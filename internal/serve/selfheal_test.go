@@ -337,10 +337,10 @@ func TestDegradedModeShedding(t *testing.T) {
 }
 
 // TestBreakerTripsOnInjectedErrors drives the health layer through a
-// ChaosProxy fault window: a backend that answers every request with an
-// injected 500 must be cut off (probes see the same faults), traffic must
-// keep flowing on the healthy backend, and once the fault phase ends the
-// trial probe must fold the backend back in.
+// ChaosProxy fault window: a backend whose every request the proxy answers
+// with an injected `failed` reply frame must be cut off (probes see the same
+// faults), traffic must keep flowing on the healthy backend, and once the
+// fault phase ends the trial probe must fold the backend back in.
 func TestBreakerTripsOnInjectedErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live serving run")
@@ -375,7 +375,7 @@ func TestBreakerTripsOnInjectedErrors(t *testing.T) {
 	}
 	t.Cleanup(func() { g.Close() })
 
-	testutil.WaitFor(t, 5*time.Second, "breaker never opened on injected 500s", func() bool {
+	testutil.WaitFor(t, 5*time.Second, "breaker never opened on injected failed replies", func() bool {
 		snap := g.Metrics()
 		return len(snap.BreakerStates) == 2 && snap.BreakerStates[1] == "open"
 	})
