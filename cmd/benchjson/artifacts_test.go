@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -149,6 +152,89 @@ func TestDocsCiteCommittedBenchNames(t *testing.T) {
 		}
 		for _, name := range missingBenchNames(string(text), committed) {
 			t.Errorf("%s cites %s, which no committed BENCH file holds", doc, name)
+		}
+	}
+}
+
+// citedGoName matches a backticked `pkg.Name` citation.
+var citedGoName = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)")
+
+// missingGoNames returns the `pkg.Name` citations in doc whose internal/pkg
+// exists under root but declares no top-level Name, test files included.
+// A citation of a package outside internal/ (`sync.Pool`) is not checked.
+func missingGoNames(t *testing.T, root, doc string) []string {
+	t.Helper()
+	var missing []string
+	declared := map[string]map[string]bool{}
+	for _, m := range citedGoName.FindAllStringSubmatch(doc, -1) {
+		pkg, name := m[1], m[2]
+		names, ok := declared[pkg]
+		if !ok {
+			names = topLevelNames(t, filepath.Join(root, "internal", pkg))
+			declared[pkg] = names
+		}
+		if names != nil && !names[name] {
+			missing = append(missing, pkg+"."+name)
+		}
+	}
+	return missing
+}
+
+// topLevelNames returns the names a package directory's Go files declare at
+// top level (functions, types, variables and constants; not methods), or
+// nil when the directory holds no Go files.
+func topLevelNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		return nil
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						names[sp.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							names[id.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestDocsCiteDeclaredGoNames checks every backticked `pkg.Name` that
+// README.md, DESIGN.md, EXPERIMENTS.md and the verify skill cite against
+// what internal/pkg declares, so a doc cannot keep citing a deleted type,
+// function or test.
+func TestDocsCiteDeclaredGoNames(t *testing.T) {
+	const root = "../.."
+	if got := missingGoNames(t, root, "`serve.Crasher`, `serve.ChaosProxy`, `dist.TestRingWithTimeoutStillConverges`, `sync.Pool`"); len(got) != 1 || got[0] != "serve.Crasher" {
+		t.Fatalf("the check finds %q missing, want only serve.Crasher", got)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range missingGoNames(t, root, string(text)) {
+			t.Errorf("%s cites `%s`, which its package does not declare", doc, name)
 		}
 	}
 }

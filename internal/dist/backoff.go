@@ -87,7 +87,3 @@ func (b *Backoff) AttemptsFor(budget time.Duration) int {
 	}
 	return 64
 }
-
-// Attempts reports how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempts() int { return b.attempt }

@@ -271,7 +271,8 @@ func TestCrashedFollowerRestartsViaRunNode(t *testing.T) {
 func TestTimeoutNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for k := 0; k < 20; k++ {
-		to := &Timeout{Inner: NewBlackhole(), D: 2 * time.Millisecond}
+		// An unfed ring endpoint: Recv blocks until Close.
+		to := &Timeout{Inner: ChanRing(2)[0], D: 2 * time.Millisecond}
 		if _, err := to.Recv(); !errors.Is(err, ErrRecvTimeout) {
 			t.Fatalf("want ErrRecvTimeout, got %v", err)
 		}
@@ -308,7 +309,7 @@ func TestTimeoutDeliversLateMessage(t *testing.T) {
 }
 
 func TestTimeoutRecvAfterClose(t *testing.T) {
-	to := &Timeout{Inner: NewBlackhole(), D: time.Hour}
+	to := &Timeout{Inner: ChanRing(2)[0], D: time.Hour}
 	to.Close()
 	if _, err := to.Recv(); err == nil || errors.Is(err, ErrRecvTimeout) {
 		t.Fatalf("Recv after Close: want closed error, got %v", err)

@@ -2,10 +2,8 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nashlb/internal/rng"
 )
@@ -19,8 +17,8 @@ type LinkPolicy interface {
 	Allow(from, to int) bool
 }
 
-// NemesisEvent is one scheduled step of a partition nemesis, applied from
-// At (relative to Start) until the next event takes over.
+// NemesisEvent is one fault state of a partition nemesis, in force from the
+// Set that installs it until the next Set replaces it.
 //
 // Partition lists symmetric netsplit groups: two nodes communicate only if
 // they are in the same group. Nodes not named in any group implicitly share
@@ -34,123 +32,92 @@ type LinkPolicy interface {
 // Loss drops each otherwise-allowed message independently with this
 // probability, drawn from the nemesis's seeded stream (partial link loss).
 type NemesisEvent struct {
-	At        time.Duration
 	Partition [][]int
 	Cuts      [][2]int
 	Loss      float64
 }
 
-// Nemesis is a deterministic, schedule-driven partition fault injector: the
-// control-plane sibling of the message-level Chaos transport and the
-// HTTP-level ChaosProxy. The schedule is fixed up front and every random
-// choice (partial loss) comes from a seeded stream, so a run is replayable
-// from (schedule, seed); it composes freely with crash/restart harnesses
-// (Crasher, fleet Kill) because it only gates links, never processes.
+// Nemesis is a seeded partition fault injector: the control-plane sibling of
+// the message-level Chaos transport and the work-hop ChaosProxy. It holds
+// only the current fault and keeps no clock: whoever runs the scenario
+// calls Set when a step is due, so link faults, kills and restarts replay on
+// one timeline. Every random choice (partial loss) comes from a seeded
+// stream, so a run is replayable from (steps, seed).
 type Nemesis struct {
-	n      int
-	events []nemesisEvent
+	n int
 
 	allowed atomic.Int64
 	blocked atomic.Int64
 	lost    atomic.Int64
 
-	mu      sync.Mutex
-	started bool
-	start   time.Time
-	r       *rng.Stream
+	mu  sync.Mutex
+	cur *nemesisEvent
+	r   *rng.Stream
 }
 
 // nemesisEvent is a compiled NemesisEvent: group membership and cuts are
 // resolved to O(1) lookups so Allow stays cheap on the probe path.
 type nemesisEvent struct {
-	at      time.Duration
 	groupOf []int // 0 = unlisted (residual group), else group index + 1
 	split   bool  // whether a partition is active at all
 	cuts    map[[2]int]bool
 	loss    float64
 }
 
-// NewNemesis compiles a schedule over a fleet of n nodes. Events must be
-// sorted by At; node IDs must be in [0, n) and appear in at most one group
-// per event; Loss must be in [0, 1).
-func NewNemesis(n int, seed uint64, events []NemesisEvent) (*Nemesis, error) {
+// NewNemesis returns a nemesis over a fleet of n nodes with every link up.
+func NewNemesis(n int, seed uint64) (*Nemesis, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dist: nemesis over %d nodes", n)
 	}
-	if !sort.SliceIsSorted(events, func(a, b int) bool { return events[a].At < events[b].At }) {
-		return nil, fmt.Errorf("dist: nemesis events not sorted by At")
-	}
-	nm := &Nemesis{n: n, r: rng.NewSource(seed).Stream("nemesis/loss")}
-	for k, ev := range events {
-		ce := nemesisEvent{at: ev.At, groupOf: make([]int, n), loss: ev.Loss}
-		if !(ev.Loss >= 0 && ev.Loss < 1) {
-			return nil, fmt.Errorf("dist: nemesis event %d loss %g outside [0, 1)", k, ev.Loss)
-		}
-		for gi, group := range ev.Partition {
-			for _, id := range group {
-				if id < 0 || id >= n {
-					return nil, fmt.Errorf("dist: nemesis event %d names node %d outside [0, %d)", k, id, n)
-				}
-				if ce.groupOf[id] != 0 {
-					return nil, fmt.Errorf("dist: nemesis event %d puts node %d in two groups", k, id)
-				}
-				ce.groupOf[id] = gi + 1
-				ce.split = true
-			}
-		}
-		if len(ev.Cuts) > 0 {
-			ce.cuts = make(map[[2]int]bool, len(ev.Cuts))
-		}
-		for _, cut := range ev.Cuts {
-			if cut[0] < 0 || cut[0] >= n || cut[1] < 0 || cut[1] >= n || cut[0] == cut[1] {
-				return nil, fmt.Errorf("dist: nemesis event %d has invalid cut %v", k, cut)
-			}
-			ce.cuts[cut] = true
-		}
-		nm.events = append(nm.events, ce)
-	}
-	return nm, nil
+	return &Nemesis{n: n, cur: &nemesisEvent{}, r: rng.NewSource(seed).Stream("nemesis/loss")}, nil
 }
 
-// Start arms the schedule clock. Before Start every link is up.
-func (nm *Nemesis) Start() {
+// Set replaces the current fault with ev. Node IDs must be in [0, n) and
+// appear in at most one group, cuts must join two distinct such nodes, and
+// Loss must be in [0, 1); an invalid ev leaves the current fault in force.
+func (nm *Nemesis) Set(ev NemesisEvent) error {
+	if !(ev.Loss >= 0 && ev.Loss < 1) {
+		return fmt.Errorf("dist: nemesis loss %g outside [0, 1)", ev.Loss)
+	}
+	ce := &nemesisEvent{groupOf: make([]int, nm.n), loss: ev.Loss}
+	for gi, group := range ev.Partition {
+		for _, id := range group {
+			if id < 0 || id >= nm.n {
+				return fmt.Errorf("dist: nemesis names node %d outside [0, %d)", id, nm.n)
+			}
+			if ce.groupOf[id] != 0 {
+				return fmt.Errorf("dist: nemesis puts node %d in two groups", id)
+			}
+			ce.groupOf[id] = gi + 1
+			ce.split = true
+		}
+	}
+	if len(ev.Cuts) > 0 {
+		ce.cuts = make(map[[2]int]bool, len(ev.Cuts))
+	}
+	for _, cut := range ev.Cuts {
+		if cut[0] < 0 || cut[0] >= nm.n || cut[1] < 0 || cut[1] >= nm.n || cut[0] == cut[1] {
+			return fmt.Errorf("dist: nemesis has invalid cut %v", cut)
+		}
+		ce.cuts[cut] = true
+	}
 	nm.mu.Lock()
-	nm.started = true
-	nm.start = time.Now()
+	nm.cur = ce
 	nm.mu.Unlock()
+	return nil
 }
 
-// Allow implements LinkPolicy against the active schedule step. Self-links
-// and IDs outside the compiled universe are always allowed.
+// Allow implements LinkPolicy against the current fault. Self-links and IDs
+// outside the nemesis's universe are always allowed.
 func (nm *Nemesis) Allow(from, to int) bool {
 	if from == to || from < 0 || from >= nm.n || to < 0 || to >= nm.n {
 		return true
 	}
 	nm.mu.Lock()
-	if !nm.started {
-		nm.mu.Unlock()
-		nm.allowed.Add(1)
-		return true
-	}
-	elapsed := time.Since(nm.start)
-	var ev *nemesisEvent
-	for i := range nm.events {
-		if nm.events[i].at <= elapsed {
-			ev = &nm.events[i]
-		} else {
-			break
-		}
-	}
-	var loseIt bool
-	if ev != nil && ev.loss > 0 {
-		loseIt = nm.r.Float64() < ev.loss
-	}
+	ev := nm.cur
+	loseIt := ev.loss > 0 && nm.r.Float64() < ev.loss
 	nm.mu.Unlock()
 
-	if ev == nil {
-		nm.allowed.Add(1)
-		return true
-	}
 	if ev.split && ev.groupOf[from] != ev.groupOf[to] {
 		nm.blocked.Add(1)
 		return false

@@ -331,6 +331,36 @@ type NodeResult struct {
 	Strategy game.Strategy
 }
 
+// newNode builds cfg's ring node over tr: the ε and max-round defaults,
+// duplicate suppression, and a warm start. A node whose user already
+// published a strategy (a warm-started store, or a restart after a crash)
+// resumes from it, so its first delta measures real change; an all-zero
+// strategy is a cold start and prevD stays 0, as NASH_0 prescribes.
+func newNode(cfg NodeConfig, store StateStore, tr Transport) *node {
+	n := &node{
+		id:      cfg.ID,
+		size:    cfg.Users,
+		arrival: cfg.Arrival,
+		store:   store,
+		tr:      NewDedup(tr),
+		eps:     cfg.Epsilon,
+		maxR:    cfg.MaxRounds,
+		epoch:   cfg.Epoch,
+	}
+	if n.eps <= 0 {
+		n.eps = core.DefaultEpsilon
+	}
+	if n.maxR <= 0 {
+		n.maxR = core.DefaultMaxRounds
+	}
+	if p := store.Snapshot(); len(p) > cfg.ID && !isZero(p[cfg.ID]) {
+		if avail, err := store.Available(cfg.ID); err == nil {
+			n.prevD = core.ResponseTime(avail, cfg.Arrival, p[cfg.ID])
+		}
+	}
+	return n
+}
+
 // RunNode executes one ring node to completion against a (possibly remote)
 // state store and a (possibly TCP) transport. It is the entry point used by
 // cmd/nashd -mode node, where every user is its own OS process; Run is the
@@ -342,28 +372,11 @@ func RunNode(cfg NodeConfig, store StateStore, tr Transport) (*NodeResult, error
 	if !(cfg.Arrival > 0) {
 		return nil, fmt.Errorf("dist: invalid arrival rate %g", cfg.Arrival)
 	}
-	eps := cfg.Epsilon
-	if eps <= 0 {
-		eps = core.DefaultEpsilon
-	}
-	maxR := cfg.MaxRounds
-	if maxR <= 0 {
-		maxR = core.DefaultMaxRounds
-	}
 	guarded := tr
 	if cfg.RecvTimeout > 0 {
 		guarded = &Timeout{Inner: tr, D: cfg.RecvTimeout}
 	}
-	n := &node{
-		id:      cfg.ID,
-		size:    cfg.Users,
-		arrival: cfg.Arrival,
-		store:   store,
-		tr:      NewDedup(guarded),
-		eps:     eps,
-		maxR:    maxR,
-		epoch:   cfg.Epoch,
-	}
+	n := newNode(cfg, store, guarded)
 	if cfg.ID == 0 && cfg.Recover && cfg.RecvTimeout > 0 {
 		budget := cfg.MaxRecoveries
 		if budget <= 0 {
@@ -375,15 +388,6 @@ func RunNode(cfg NodeConfig, store StateStore, tr Transport) (*NodeResult, error
 			}
 			budget--
 			return true
-		}
-	}
-	// Warm rejoin: a restarted node resumes from its previously published
-	// strategy so its first delta measures real change, not a cold start.
-	// (On a cold start the published strategy is all-zero and prevD stays 0,
-	// exactly as NASH_0 prescribes.)
-	if p := store.Snapshot(); len(p) > cfg.ID && !isZero(p[cfg.ID]) {
-		if avail, err := store.Available(cfg.ID); err == nil {
-			n.prevD = core.ResponseTime(avail, cfg.Arrival, p[cfg.ID])
 		}
 	}
 	var res NodeResult
@@ -417,38 +421,14 @@ func Run(sys *game.System, store StateStore, transports []Transport, opts Option
 	if len(transports) != m {
 		return nil, fmt.Errorf("%w: %d transports for %d users", ErrRingSize, len(transports), m)
 	}
-	eps := opts.Epsilon
-	if eps <= 0 {
-		eps = core.DefaultEpsilon
-	}
-	maxR := opts.MaxRounds
-	if maxR <= 0 {
-		maxR = core.DefaultMaxRounds
-	}
-
 	nodes := make([]*node, m)
-	start := store.Snapshot()
 	for i := 0; i < m; i++ {
 		tr := transports[i]
 		if opts.RecvTimeout > 0 {
 			tr = &Timeout{Inner: tr, D: opts.RecvTimeout}
 		}
-		n := &node{
-			id:      i,
-			size:    m,
-			arrival: sys.Arrivals[i],
-			store:   store,
-			tr:      NewDedup(tr),
-			eps:     eps,
-			maxR:    maxR,
-		}
-		// Seed prevD from the starting profile so warm starts measure true
-		// deltas (an all-zero strategy contributes prevD = 0, as NASH_0).
-		if !isZero(start[i]) {
-			avail := availableFrom(sys, start, i)
-			n.prevD = core.ResponseTime(avail, sys.Arrivals[i], start[i])
-		}
-		nodes[i] = n
+		cfg := NodeConfig{ID: i, Users: m, Arrival: sys.Arrivals[i], Epsilon: opts.Epsilon, MaxRounds: opts.MaxRounds}
+		nodes[i] = newNode(cfg, store, tr)
 	}
 
 	var wg sync.WaitGroup
@@ -514,8 +494,4 @@ func isZero(s game.Strategy) bool {
 		}
 	}
 	return true
-}
-
-func availableFrom(sys *game.System, p game.Profile, i int) []float64 {
-	return sys.AvailableRates(p, i)
 }

@@ -184,14 +184,12 @@ func TestRunMaxRoundsAborts(t *testing.T) {
 }
 
 func TestRingLivenessGuardDetectsDeadNode(t *testing.T) {
-	// Replace one follower's transport with a blackhole (a crashed node):
-	// with RecvTimeout armed, the whole ring must fail fast with
-	// ErrRecvTimeout instead of deadlocking.
+	// One follower loses everything it sends (a dead node, as the rest of
+	// the ring sees it): with RecvTimeout armed, the whole ring must fail
+	// fast with ErrRecvTimeout instead of deadlocking.
 	sys := testSystem(t, 4, 0.5)
 	transports := ChanRing(sys.Users())
-	dead := NewBlackhole()
-	defer dead.Close()
-	transports[2] = dead
+	transports[2] = NewChaos(transports[2], ChaosConfig{Drop: 1, R: rng.NewSource(1).Stream("dead")})
 
 	done := make(chan error, 1)
 	go func() {

@@ -24,31 +24,17 @@ import (
 // and a maximum message size, so one hung or malicious peer can neither
 // wedge the server nor force unbounded allocation.
 
-// StateLimits hardens the state-service connections; the zero value selects
-// the defaults.
-type StateLimits struct {
-	// ReadTimeout bounds the wait for the next request or response line
-	// (2m when zero — clients legitimately idle between protocol rounds).
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each line write (10s when zero).
-	WriteTimeout time.Duration
-	// MaxMessage bounds one encoded line (8 MiB when zero — snapshots carry
-	// the full m×n profile, so the bound is above the ring codec's).
-	MaxMessage int
-}
-
-func (l StateLimits) withDefaults() StateLimits {
-	if l.ReadTimeout <= 0 {
-		l.ReadTimeout = 2 * time.Minute
-	}
-	if l.WriteTimeout <= 0 {
-		l.WriteTimeout = 10 * time.Second
-	}
-	if l.MaxMessage <= 0 {
-		l.MaxMessage = 8 << 20
-	}
-	return l
-}
+// The state-service connection bounds.
+const (
+	// stateReadTimeout bounds the wait for the next request or response
+	// line; clients legitimately idle between protocol rounds.
+	stateReadTimeout = 2 * time.Minute
+	// stateWriteTimeout bounds each line write.
+	stateWriteTimeout = 10 * time.Second
+	// stateMaxMessage bounds one encoded line. Snapshots carry the full m×n
+	// profile, so the bound is above the ring codec's.
+	stateMaxMessage = 8 << 20
+)
 
 // stateRequest is the JSON wire request of the state service.
 type stateRequest struct {
@@ -80,7 +66,6 @@ func decodeStateRequest(b []byte) (stateRequest, error) {
 // StateServer exposes a StateStore over TCP with a JSON-lines protocol.
 type StateServer struct {
 	store StateStore
-	lim   StateLimits
 	ln    net.Listener
 	wg    sync.WaitGroup
 	mu    sync.Mutex
@@ -92,18 +77,12 @@ type StateServer struct {
 // an ephemeral port) and returns immediately; connections are handled on
 // background goroutines until Close.
 func ServeState(store StateStore, addr string) (*StateServer, error) {
-	return ServeStateLimits(store, addr, StateLimits{})
-}
-
-// ServeStateLimits is ServeState with explicit hardening limits.
-func ServeStateLimits(store StateStore, addr string, lim StateLimits) (*StateServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: state server listen: %w", err)
 	}
 	s := &StateServer{
 		store: store,
-		lim:   lim.withDefaults(),
 		ln:    ln,
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -157,9 +136,9 @@ func (s *StateServer) handle(conn net.Conn) {
 		conn.Close()
 	}()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 512), s.lim.MaxMessage)
+	sc.Buffer(make([]byte, 0, 512), stateMaxMessage)
 	for {
-		conn.SetReadDeadline(time.Now().Add(s.lim.ReadTimeout))
+		conn.SetReadDeadline(time.Now().Add(stateReadTimeout))
 		if !sc.Scan() {
 			return // client went away, idled out, or overflowed the bound
 		}
@@ -176,7 +155,7 @@ func (s *StateServer) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		conn.SetWriteDeadline(time.Now().Add(s.lim.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(stateWriteTimeout))
 		if _, err := conn.Write(append(b, '\n')); err != nil {
 			return
 		}
@@ -215,7 +194,6 @@ func (s *StateServer) serve(req stateRequest) stateResponse {
 // concurrent use (requests are serialized over one connection).
 type RemoteStore struct {
 	addr    string
-	lim     StateLimits
 	mu      sync.Mutex
 	conn    net.Conn
 	sc      *bufio.Scanner
@@ -225,14 +203,8 @@ type RemoteStore struct {
 // DialState returns a client for the state service at addr. The connection
 // is established lazily on the first call.
 func DialState(addr string) *RemoteStore {
-	return DialStateLimits(addr, StateLimits{})
-}
-
-// DialStateLimits is DialState with explicit hardening limits.
-func DialStateLimits(addr string, lim StateLimits) *RemoteStore {
 	return &RemoteStore{
 		addr: addr,
-		lim:  lim.withDefaults(),
 		backoff: Backoff{
 			Base: 2 * time.Millisecond,
 			Max:  250 * time.Millisecond,
@@ -262,9 +234,9 @@ func (r *RemoteStore) roundTrip(req stateRequest) (stateResponse, error) {
 			}
 			r.conn = conn
 			r.sc = bufio.NewScanner(conn)
-			r.sc.Buffer(make([]byte, 0, 512), r.lim.MaxMessage)
+			r.sc.Buffer(make([]byte, 0, 512), stateMaxMessage)
 		}
-		r.conn.SetWriteDeadline(time.Now().Add(r.lim.WriteTimeout))
+		r.conn.SetWriteDeadline(time.Now().Add(stateWriteTimeout))
 		if _, err := r.conn.Write(frame); err != nil {
 			lastErr = err
 			r.reset()
@@ -272,7 +244,7 @@ func (r *RemoteStore) roundTrip(req stateRequest) (stateResponse, error) {
 		}
 		// A healthy server answers immediately, so the response wait uses
 		// the (short) write bound, not the idle read bound.
-		r.conn.SetReadDeadline(time.Now().Add(r.lim.WriteTimeout))
+		r.conn.SetReadDeadline(time.Now().Add(stateWriteTimeout))
 		if !r.sc.Scan() {
 			if lastErr = r.sc.Err(); lastErr == nil {
 				lastErr = io.EOF

@@ -227,14 +227,6 @@ func Supervise(sys *game.System, store StateStore, opts SupervisorOptions) (*Sup
 		return nil, err
 	}
 	m := sys.Users()
-	eps := opts.Epsilon
-	if eps <= 0 {
-		eps = core.DefaultEpsilon
-	}
-	maxR := opts.MaxRounds
-	if maxR <= 0 {
-		maxR = core.DefaultMaxRounds
-	}
 	recvT := opts.RecvTimeout
 	if recvT <= 0 {
 		recvT = 250 * time.Millisecond
@@ -260,25 +252,9 @@ func Supervise(sys *game.System, store StateStore, opts SupervisorOptions) (*Sup
 		links[i] = tr
 	}
 
-	newNode := func(i int, epoch uint64, tr Transport) *node {
-		n := &node{
-			id:      i,
-			size:    m,
-			arrival: sys.Arrivals[i],
-			store:   store,
-			tr:      NewDedup(tr),
-			eps:     eps,
-			maxR:    maxR,
-			epoch:   epoch,
-		}
-		// Resume from the published strategy (warm start / crash restart);
-		// all-zero means cold start and prevD stays 0, as in Run.
-		if p := store.Snapshot(); len(p) > i && !isZero(p[i]) {
-			if avail, err := store.Available(i); err == nil {
-				n.prevD = core.ResponseTime(avail, sys.Arrivals[i], p[i])
-			}
-		}
-		return n
+	ringNode := func(i int, epoch uint64, tr Transport) *node {
+		return newNode(NodeConfig{ID: i, Users: m, Arrival: sys.Arrivals[i], Epsilon: opts.Epsilon,
+			MaxRounds: opts.MaxRounds, Epoch: epoch}, store, tr)
 	}
 
 	var wg sync.WaitGroup
@@ -289,7 +265,7 @@ func Supervise(sys *game.System, store StateStore, opts SupervisorOptions) (*Sup
 		go func() {
 			defer wg.Done()
 			for epoch := uint64(0); ; epoch++ {
-				_, _, err := newNode(i, epoch, links[i]).runFollower()
+				_, _, err := ringNode(i, epoch, links[i]).runFollower()
 				switch {
 				case err == nil:
 					ring.deregister(i)
@@ -333,7 +309,7 @@ func Supervise(sys *game.System, store StateStore, opts SupervisorOptions) (*Sup
 	}
 
 	leaderTr := &Timeout{Inner: links[0], D: recvT}
-	leader := newNode(0, 0, leaderTr)
+	leader := ringNode(0, 0, leaderTr)
 	leader.gen = 1
 	leader.recover = ring.onStall
 	rounds, converged, lerr := leader.runLeader()

@@ -282,18 +282,13 @@ func TCPRingConfig(m int, cfg TCPConfig) ([]Transport, error) {
 // nextAddr — the building block for multi-process deployments (cmd/nashd
 // -mode node). Call Close when done.
 func NewTCPNode(listenAddr, nextAddr string) (Transport, error) {
-	return NewTCPNodeConfig(listenAddr, nextAddr, TCPConfig{})
-}
-
-// NewTCPNodeConfig is NewTCPNode with explicit hardening limits.
-func NewTCPNodeConfig(listenAddr, nextAddr string, cfg TCPConfig) (Transport, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: node listen on %s: %w", listenAddr, err)
 	}
 	// Standalone nodes get a larger retry budget: their successor process
 	// may simply not have started yet.
-	return newTCPTransport(nextAddr, ln, cfg.withDefaults(60)), nil
+	return newTCPTransport(nextAddr, ln, TCPConfig{}.withDefaults(60)), nil
 }
 
 // NodeAddr reports the transport's listen address when it has one (TCP
@@ -492,32 +487,6 @@ func (t *Timeout) Close() error {
 		t.mu.Unlock()
 	})
 	return t.Inner.Close()
-}
-
-// Blackhole is a fault-injection transport whose Send silently discards
-// everything and whose Recv blocks until Close — a crashed node, as seen by
-// the rest of the ring.
-type Blackhole struct {
-	once sync.Once
-	done chan struct{}
-}
-
-// NewBlackhole returns a fresh blackhole transport.
-func NewBlackhole() *Blackhole { return &Blackhole{done: make(chan struct{})} }
-
-// Send implements Transport (discarding the message).
-func (b *Blackhole) Send(Message) error { return nil }
-
-// Recv implements Transport (blocking until Close).
-func (b *Blackhole) Recv() (Message, error) {
-	<-b.done
-	return Message{}, errors.New("dist: blackhole closed")
-}
-
-// Close implements Transport.
-func (b *Blackhole) Close() error {
-	b.once.Do(func() { close(b.done) })
-	return nil
 }
 
 // Dedup wraps a transport and drops messages already delivered, making

@@ -2,8 +2,14 @@ package experiments
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"nashlb/internal/serve"
 )
 
 func TestConfigs(t *testing.T) {
@@ -740,6 +746,85 @@ func TestExt8LiveServing(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("bench json missing %s", want)
 		}
+	}
+}
+
+// TestFaultWindowRunsStepsInOrder: runWindow applies the offset-0 steps
+// before the load's first request, runs each later step in order no
+// earlier than its offset, with the load still running, and samples while
+// it waits.
+func TestFaultWindowRunsStepsInOrder(t *testing.T) {
+	var mu sync.Mutex
+	var done []faultStep       // steps run so far
+	var seen [][]faultStep     // done, as each request found it
+	var doneAt []time.Duration // each step's time from the first step
+	var first time.Time
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, append([]faultStep(nil), done...))
+		mu.Unlock()
+	}))
+	defer srv.Close()
+
+	steps := []faultStep{
+		{kind: stepProxy, phase: serve.ChaosPhase{ErrorRate: 0.5}},
+		{kind: stepMark},
+		{at: 0.3, kind: stepProxy, phase: serve.ChaosPhase{Down: true}},
+		{at: 0.3, kind: stepMark},
+		{at: 0.6, kind: stepProxy},
+	}
+	const win = 800 * time.Millisecond
+	samples := 0
+	load, err := runWindow(serve.LoadConfig{Target: srv.URL, Arrivals: []float64{100}, Duration: win, Seed: 3},
+		steps,
+		func(st faultStep) error {
+			if st.at == 0 {
+				// Slow offset-0 steps: load started beside them would
+				// send requests that find them not yet run.
+				time.Sleep(50 * time.Millisecond)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if first.IsZero() {
+				first = time.Now()
+			}
+			done = append(done, st)
+			doneAt = append(doneAt, time.Since(first))
+			return nil
+		},
+		func() (bool, error) { samples++; return false, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if load.Sent[0] == 0 || len(seen) == 0 {
+		t.Fatal("the window sent no load")
+	}
+	if len(done) != len(steps) {
+		t.Fatalf("ran %d of %d steps", len(done), len(steps))
+	}
+	for k, st := range steps {
+		if done[k].at != st.at || done[k].kind != st.kind || done[k].phase != st.phase {
+			t.Errorf("step %d ran %+v, want %+v", k, done[k], st)
+		}
+		if off := time.Duration(st.at * float64(win)); doneAt[k] < off {
+			t.Errorf("step %d ran %v after the window opened, before its offset %v", k, doneAt[k], off)
+		}
+	}
+	// Every request found both offset-0 steps run; some found no later one.
+	early := 0
+	for _, s := range seen {
+		if len(s) < 2 {
+			t.Fatalf("a request came before the offset-0 steps ran (it saw %d)", len(s))
+		}
+		if len(s) == 2 {
+			early++
+		}
+	}
+	if early == 0 || early == len(seen) {
+		t.Errorf("%d of %d requests came before the later steps: the load did not run beside them", early, len(seen))
+	}
+	if samples == 0 {
+		t.Error("the window never sampled")
 	}
 }
 

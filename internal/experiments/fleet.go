@@ -181,7 +181,7 @@ func Ext10(seed uint64, quick bool) (*Ext10Result, error) {
 	return res, nil
 }
 
-// faultKind is what one step of a fleet fault scenario does.
+// faultKind is what one step of a fault scenario does.
 type faultKind int
 
 const (
@@ -193,22 +193,87 @@ const (
 	stepLeave               // drain a machine through a follower's membership endpoint
 	stepJoin                // re-activate a drained machine the same way
 	stepMark                // open the post-fault split window
+	stepProxy               // switch the fault proxy to the step's phase
 )
 
 // String names the kind; leave and join are also the membership ops.
 func (k faultKind) String() string {
-	return [...]string{"none", "partition", "heal", "kill", "restart", "leave", "join", "mark"}[k]
+	return [...]string{"none", "partition", "heal", "kill", "restart", "leave", "join", "mark", "proxy"}[k]
 }
 
-// faultStep is one timed step of a fleet fault scenario.
+// faultStep is one timed step of a fault scenario.
 type faultStep struct {
-	at     float64 // fraction of the window
+	at     float64 // fraction of the window, counted from its open
 	kind   faultKind
-	target int     // the node killed or restarted, or the machine that leaves or joins
-	groups [][]int // a partition's nemesis groups
+	target int              // the node killed or restarted, or the machine that leaves or joins
+	groups [][]int          // a partition's nemesis groups
+	phase  serve.ChaosPhase // a proxy step's fault (the zero phase heals)
 }
 
-// faultScenario is one cell of a fleet fault grid.
+// runWindow owns one fault window of load.Duration. It applies the steps at
+// offset 0, starts the seeded load, and runs each later step (steps are in
+// time order) when its offset from the load's start comes, calling sample,
+// if any, about every 10 ms while it waits. It returns once the load has
+// ended and the last sample asked to hold the window no longer. An error
+// from a step, a sample or the load ends the steps and is returned.
+func runWindow(load serve.LoadConfig, steps []faultStep, do func(faultStep) error,
+	sample func() (hold bool, err error)) (*serve.LoadResult, error) {
+	var hold bool
+	wait := func(until time.Time) error {
+		for {
+			if sample != nil {
+				var err error
+				if hold, err = sample(); err != nil {
+					return err
+				}
+			}
+			d := time.Until(until)
+			if d <= 0 {
+				return nil
+			}
+			time.Sleep(min(d, 10*time.Millisecond))
+		}
+	}
+	for ; len(steps) > 0 && steps[0].at == 0; steps = steps[1:] {
+		if err := do(steps[0]); err != nil {
+			return nil, err
+		}
+	}
+	start := time.Now()
+	var res *serve.LoadResult
+	loadErr := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = serve.RunLoad(load)
+		loadErr <- err
+	}()
+	var err error
+	for k := 0; err == nil && k < len(steps); k++ {
+		if err = wait(start.Add(time.Duration(steps[k].at * float64(load.Duration)))); err == nil {
+			err = do(steps[k])
+		}
+	}
+	loadOn := true
+	for err == nil && (loadOn || hold) {
+		select {
+		case lerr := <-loadErr:
+			loadOn, err = false, lerr
+		default:
+			err = wait(time.Now().Add(10 * time.Millisecond))
+		}
+	}
+	if loadOn {
+		if lerr := <-loadErr; err == nil {
+			err = lerr
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// faultScenario is one cell of a fault grid.
 type faultScenario struct {
 	name  string
 	steps []faultStep // in time order
@@ -237,14 +302,13 @@ type fleetOutcome struct {
 }
 
 // runFleetFaults measures one scenario on the EXT10 system: live backends
-// (backend j seeded backendSeed+j), a three-node fleet over them, seeded
-// open-loop load against every gateway, the scenario's steps on schedule,
-// and the audit verdict over the fleet's merged trace. The partitions and
-// heals compile into one nemesis armed when the window opens; without any,
-// the nodes get no link policy. This goroutine alone touches the nodes: it
-// runs each step when its time comes and samples the watched quorums and
-// the failover clock while it waits. A clock still running deadline after
-// its start fails the run.
+// (backend j seeded backendSeed+j), a three-node fleet over them, the
+// scenario's steps on one fault window (runWindow) beside seeded open-loop
+// load against every gateway, and the audit verdict over the fleet's merged
+// trace. Every node consults one nemesis, whose links the partition and
+// heal steps switch. Only the window's goroutine touches the nodes: it runs
+// the steps and samples the watched quorums and the failover clock between
+// them. A clock still running deadline after its start fails the run.
 func runFleetFaults(sc faultScenario, seed, backendSeed uint64, deadline, win time.Duration) (*fleetOutcome, error) {
 	urls, stopBackends, err := startBackends(ext10Rates, backendSeed)
 	if err != nil {
@@ -261,28 +325,21 @@ func runFleetFaults(sc faultScenario, seed, backendSeed uint64, deadline, win ti
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	offset := func(frac float64) time.Duration { return time.Duration(frac * float64(win)) }
-	var events []dist.NemesisEvent
 	durable := make([]string, ext10Gateways)
 	for _, st := range sc.steps {
-		switch st.kind {
-		case stepPartition, stepHeal:
-			events = append(events, dist.NemesisEvent{At: offset(st.at), Partition: st.groups})
-		case stepRestart:
+		if st.kind == stepRestart {
 			// A node restarts from what it persisted before the crash.
 			durable[st.target] = filepath.Join(dir, strconv.Itoa(st.target))
 		}
 	}
-	var nem *dist.Nemesis
-	if len(events) > 0 {
-		if nem, err = dist.NewNemesis(ext10Gateways, seed+777, events); err != nil {
-			return nil, err
-		}
+	nem, err := dist.NewNemesis(ext10Gateways, seed+777)
+	if err != nil {
+		return nil, err
 	}
 
 	tr := &audit.Trace{}
 	newNode := func(id int, ctrlAddr, gwAddr string) (*fleet.Node, error) {
-		cfg := fleet.Config{
+		return fleet.NewNode(fleet.Config{
 			ID:       id,
 			Machines: machines,
 			Arrivals: ext10Arrivals,
@@ -294,12 +351,9 @@ func runFleetFaults(sc faultScenario, seed, backendSeed uint64, deadline, win ti
 			Addr:          ctrlAddr,
 			DurableDir:    durable[id],
 			Seed:          seed + 100 + uint64(id),
+			Link:          nem,
 			Trace:         tr,
-		}
-		if nem != nil { // a nil *Nemesis would still be a non-nil policy
-			cfg.Link = nem
-		}
-		return fleet.NewNode(cfg)
+		})
 	}
 	// nodes holds each ID's latest instance; dead marks the killed ones.
 	nodes := make([]*fleet.Node, ext10Gateways)
@@ -342,14 +396,15 @@ func runFleetFaults(sc faultScenario, seed, backendSeed uint64, deadline, win ti
 	var clockAt time.Time
 	var baseEpoch uint64
 	clockRunning := func() bool { return !clockAt.IsZero() && out.failover < 0 }
-	sample := func() error {
+	// sample holds the window open while the failover clock runs.
+	sample := func() (bool, error) {
 		for _, id := range sc.watch {
 			if !dead[id] && !nodes[id].QuorumOK() {
 				out.quorumLoss = true
 			}
 		}
 		if !clockRunning() {
-			return nil
+			return false, nil
 		}
 		lead := nodes[1].Leader()
 		agreed := lead >= 0
@@ -361,22 +416,10 @@ func runFleetFaults(sc faultScenario, seed, backendSeed uint64, deadline, win ti
 		case agreed:
 			out.failover = time.Since(clockAt).Seconds()
 		case time.Since(clockAt) > deadline:
-			return fmt.Errorf("nodes 1 and 2 did not agree on a leader past epoch %d within %v of the %s",
+			return false, fmt.Errorf("nodes 1 and 2 did not agree on a leader past epoch %d within %v of the %s",
 				baseEpoch, deadline, sc.clockFrom)
 		}
-		return nil
-	}
-	wait := func(until time.Time) error {
-		for {
-			if err := sample(); err != nil {
-				return err
-			}
-			d := time.Until(until)
-			if d <= 0 {
-				return nil
-			}
-			time.Sleep(min(d, 10*time.Millisecond))
-		}
+		return clockRunning(), nil
 	}
 	// A follower forwards a membership op to the leader with a 2.25 s
 	// timeout; this one lets its answer come back.
@@ -391,6 +434,10 @@ func runFleetFaults(sc faultScenario, seed, backendSeed uint64, deadline, win ti
 			clockAt = time.Now()
 		}
 		switch st.kind {
+		case stepPartition:
+			return nem.Set(dist.NemesisEvent{Partition: st.groups})
+		case stepHeal:
+			return nem.Set(dist.NemesisEvent{})
 		case stepKill:
 			dead[st.target] = true
 			if err := nodes[st.target].Kill(); err != nil {
@@ -416,46 +463,13 @@ func runFleetFaults(sc faultScenario, seed, backendSeed uint64, deadline, win ti
 		return nil
 	}
 
-	start := time.Now()
-	if nem != nil {
-		nem.Start()
-	}
-	var load *serve.LoadResult
-	loadErr := make(chan error, 1)
-	go func() {
-		var err error
-		load, err = serve.RunLoad(serve.LoadConfig{
-			Targets:  targets,
-			Arrivals: ext10Arrivals,
-			Duration: win,
-			Warmup:   win / 8,
-			Seed:     seed,
-		})
-		loadErr <- err
-	}()
-	for _, st := range sc.steps {
-		if err = wait(start.Add(offset(st.at))); err == nil {
-			err = do(st)
-		}
-		if err != nil {
-			break
-		}
-	}
-	// Sample until the window closes; a running failover clock may outlast it.
-	windowOpen := true
-	for err == nil && (windowOpen || clockRunning()) {
-		select {
-		case lerr := <-loadErr:
-			windowOpen, err = false, lerr
-		default:
-			err = wait(time.Now().Add(10 * time.Millisecond))
-		}
-	}
-	if windowOpen {
-		if lerr := <-loadErr; err == nil {
-			err = lerr
-		}
-	}
+	load, err := runWindow(serve.LoadConfig{
+		Targets:  targets,
+		Arrivals: ext10Arrivals,
+		Duration: win,
+		Warmup:   win / 8,
+		Seed:     seed,
+	}, sc.steps, do, sample)
 	if err != nil {
 		return nil, err
 	}

@@ -69,13 +69,6 @@ type Ext9Result struct {
 	Rows          []Ext9Row `json:"scenarios"`
 }
 
-// ext9Scenario describes one grid cell: the chaos schedule installed on the
-// faulty backend's proxy for the whole window.
-type ext9Scenario struct {
-	name     string
-	schedule func(win time.Duration) []serve.ChaosPhase
-}
-
 // Ext9 measures client-visible availability and response times while the
 // self-healing gateway rides out injected HTTP faults on one backend:
 // a clean baseline, a 5% error rate (below every breaker threshold — the
@@ -101,20 +94,13 @@ func Ext9(seed uint64, quick bool) (*Ext9Result, error) {
 	if quick {
 		win = 4 * time.Second
 	}
-	scenarios := []ext9Scenario{
-		{name: "clean", schedule: func(time.Duration) []serve.ChaosPhase { return nil }},
-		{name: "errors 5%", schedule: func(time.Duration) []serve.ChaosPhase {
-			return []serve.ChaosPhase{{ErrorRate: 0.05}}
-		}},
-		{name: "errors 50%", schedule: func(time.Duration) []serve.ChaosPhase {
-			return []serve.ChaosPhase{{ErrorRate: 0.5}}
-		}},
-		{name: "crash+recover", schedule: func(w time.Duration) []serve.ChaosPhase {
-			return []serve.ChaosPhase{
-				{Start: 0},
-				{Start: w / 4, Down: true},
-				{Start: w * 6 / 10},
-			}
+	scenarios := []faultScenario{
+		{name: "clean"},
+		{name: "errors 5%", steps: []faultStep{{kind: stepProxy, phase: serve.ChaosPhase{ErrorRate: 0.05}}}},
+		{name: "errors 50%", steps: []faultStep{{kind: stepProxy, phase: serve.ChaosPhase{ErrorRate: 0.5}}}},
+		{name: "crash+recover", steps: []faultStep{
+			{at: 0.25, kind: stepProxy, phase: serve.ChaosPhase{Down: true}},
+			{at: 0.6, kind: stepProxy}, // heal
 		}},
 	}
 
@@ -136,18 +122,15 @@ func Ext9(seed uint64, quick bool) (*Ext9Result, error) {
 }
 
 // ext9Run measures one scenario: backends up, chaos proxy on the faulty
-// one, self-healing gateway, seeded open-loop load.
-func ext9Run(sc ext9Scenario, profile game.Profile, seed uint64, win time.Duration) (*Ext9Row, error) {
+// one, self-healing gateway, and the scenario's proxy steps on one fault
+// window (runWindow) beside seeded open-loop load.
+func ext9Run(sc faultScenario, profile game.Profile, seed uint64, win time.Duration) (*Ext9Row, error) {
 	urls, stopBackends, err := startBackends(ext9Rates, seed+9000)
 	if err != nil {
 		return nil, err
 	}
 	defer stopBackends()
-	proxy, err := serve.NewChaosProxy(serve.ChaosProxyConfig{
-		Target:   urls[ext9FaultIdx],
-		Seed:     seed + 99,
-		Schedule: sc.schedule(win),
-	})
+	proxy, err := serve.NewChaosProxy(serve.ChaosProxyConfig{Target: urls[ext9FaultIdx], Seed: seed + 99})
 	if err != nil {
 		return nil, err
 	}
@@ -177,13 +160,13 @@ func ext9Run(sc ext9Scenario, profile game.Profile, seed uint64, win time.Durati
 	}
 	defer g.Close()
 
-	load, err := serve.RunLoad(serve.LoadConfig{
+	load, err := runWindow(serve.LoadConfig{
 		Target:   g.URL(),
 		Arrivals: ext9Arrivals,
 		Duration: win,
 		Warmup:   win / 8,
 		Seed:     seed,
-	})
+	}, sc.steps, func(st faultStep) error { return proxy.Set(st.phase) }, nil)
 	if err != nil {
 		return nil, err
 	}

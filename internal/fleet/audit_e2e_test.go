@@ -11,12 +11,29 @@ import (
 	"nashlb/internal/testutil"
 )
 
-// auditSchedule is one seeded chaos scenario: a nemesis schedule over a
-// 3-node fleet, optionally compounded with a mid-window crash.
+// auditSchedule is one seeded chaos scenario over a 3-node fleet: link
+// faults on a nemesis, optionally compounded with a mid-window crash, all
+// replayed on one clock.
 type auditSchedule struct {
-	name   string
-	events []dist.NemesisEvent
-	crash  int // node to Kill mid-window, -1 for none
+	name  string
+	steps []auditStep // in time order
+}
+
+// auditStep runs at its offset from the schedule's start: it kills node
+// kill, or with kill < 0 puts link in force on the nemesis.
+type auditStep struct {
+	at   time.Duration
+	link dist.NemesisEvent
+	kill int
+}
+
+// auditWindow is how long a schedule runs: every schedule heals by 600 ms,
+// and the survivors then re-elect and reconverge while the trace records.
+const auditWindow = 1100 * time.Millisecond
+
+// linkStep puts ev in force at offset at.
+func linkStep(at time.Duration, ev dist.NemesisEvent) auditStep {
+	return auditStep{at: at, link: ev, kill: -1}
 }
 
 // scheduleFor derives the k-th deterministic schedule. Five archetypes —
@@ -25,53 +42,49 @@ type auditSchedule struct {
 // nodes by k, all healing before the window ends.
 func scheduleFor(k int) auditSchedule {
 	isolate := k % 3
-	heal := dist.NemesisEvent{At: 500 * time.Millisecond}
+	heal := linkStep(500*time.Millisecond, dist.NemesisEvent{})
 	switch k % 5 {
 	case 0:
 		return auditSchedule{
 			name: fmt.Sprintf("symmetric-split-%d", isolate),
-			events: []dist.NemesisEvent{
-				{At: 0, Partition: [][]int{{isolate}}},
+			steps: []auditStep{
+				linkStep(0, dist.NemesisEvent{Partition: [][]int{{isolate}}}),
 				heal,
 			},
-			crash: -1,
 		}
 	case 1:
 		return auditSchedule{
 			name: fmt.Sprintf("one-way-cut-%d-%d", isolate, (isolate+1)%3),
-			events: []dist.NemesisEvent{
-				{At: 0, Cuts: [][2]int{{isolate, (isolate + 1) % 3}}},
+			steps: []auditStep{
+				linkStep(0, dist.NemesisEvent{Cuts: [][2]int{{isolate, (isolate + 1) % 3}}}),
 				heal,
 			},
-			crash: -1,
 		}
 	case 2:
 		return auditSchedule{
 			name: "lossy-links-35pct",
-			events: []dist.NemesisEvent{
-				{At: 0, Loss: 0.35},
-				{At: 600 * time.Millisecond},
+			steps: []auditStep{
+				linkStep(0, dist.NemesisEvent{Loss: 0.35}),
+				linkStep(600*time.Millisecond, dist.NemesisEvent{}),
 			},
-			crash: -1,
 		}
 	case 3:
 		return auditSchedule{
 			name: fmt.Sprintf("rolling-partition-%d", isolate),
-			events: []dist.NemesisEvent{
-				{At: 0, Partition: [][]int{{isolate}}},
-				{At: 250 * time.Millisecond, Partition: [][]int{{(isolate + 1) % 3}}},
-				{At: 550 * time.Millisecond},
+			steps: []auditStep{
+				linkStep(0, dist.NemesisEvent{Partition: [][]int{{isolate}}}),
+				linkStep(250*time.Millisecond, dist.NemesisEvent{Partition: [][]int{{(isolate + 1) % 3}}}),
+				linkStep(550*time.Millisecond, dist.NemesisEvent{}),
 			},
-			crash: -1,
 		}
 	default:
 		return auditSchedule{
 			name: fmt.Sprintf("partition-plus-crash-%d", isolate),
-			events: []dist.NemesisEvent{
-				{At: 0, Partition: [][]int{{0}}},
+			steps: []auditStep{
+				linkStep(0, dist.NemesisEvent{Partition: [][]int{{0}}}),
+				{at: 300 * time.Millisecond, kill: isolate},
 				heal,
 			},
-			crash: isolate,
 		}
 	}
 }
@@ -80,7 +93,7 @@ func scheduleFor(k int) auditSchedule {
 // audit verdict. It never calls t.Fatal — it runs on a worker goroutine.
 func runAuditSchedule(k int) (violations []audit.Violation, events int, err error) {
 	sched := scheduleFor(k)
-	nem, err := dist.NewNemesis(3, uint64(k+1), sched.events)
+	nem, err := dist.NewNemesis(3, uint64(k+1))
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: %w", sched.name, err)
 	}
@@ -129,18 +142,17 @@ func runAuditSchedule(k int) (violations []audit.Violation, events int, err erro
 	}) {
 		return nil, 0, fmt.Errorf("%s: no first reign of leader 0 within 3s", sched.name)
 	}
-	nem.Start()
-	if sched.crash >= 0 {
-		time.Sleep(300 * time.Millisecond)
-		_ = nodes[sched.crash].Kill()
-		nodes[sched.crash] = nil
-		time.Sleep(500 * time.Millisecond)
-	} else {
-		time.Sleep(800 * time.Millisecond)
+	start := time.Now()
+	for _, st := range sched.steps {
+		time.Sleep(time.Until(start.Add(st.at)))
+		if st.kill >= 0 {
+			_ = nodes[st.kill].Kill()
+			nodes[st.kill] = nil
+		} else if err := nem.Set(st.link); err != nil {
+			return nil, 0, fmt.Errorf("%s: step at %v: %w", sched.name, st.at, err)
+		}
 	}
-	// Post-heal settle: survivors re-elect and reconverge while the trace
-	// keeps recording.
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(time.Until(start.Add(auditWindow)))
 
 	for _, n := range nodes {
 		if n != nil {

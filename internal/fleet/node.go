@@ -415,6 +415,8 @@ func (n *Node) Stop() error {
 		if serr := n.srv.Shutdown(ctx); serr != nil {
 			err = errors.Join(err, n.srv.Close())
 		}
+	} else {
+		err = errors.Join(err, n.ln.Close()) // Start never served it
 	}
 	n.wg.Wait()
 	n.client.CloseIdleConnections()
@@ -428,6 +430,8 @@ func (n *Node) Kill() error {
 	var err error
 	if n.srv != nil {
 		err = n.srv.Close()
+	} else {
+		err = n.ln.Close() // Start never served it
 	}
 	err = errors.Join(err, n.gw.Kill())
 	n.wg.Wait()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -387,6 +389,36 @@ func TestFleetMembershipJoinLeave(t *testing.T) {
 		t.Fatalf("draining the last machine answered %d, want 409", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestKillAndStopFreeTheControlAddress: a node whose Start never ran, or
+// failed before it served, still gives its control address back on Kill
+// and on Stop, so a caller that gives up on a fleet part-way frees every
+// port.
+func TestKillAndStopFreeTheControlAddress(t *testing.T) {
+	for _, end := range []struct {
+		name string
+		f    func(*Node) error
+	}{{"Kill", (*Node).Kill}, {"Stop", (*Node).Stop}} {
+		for _, start := range []bool{false, true} {
+			n, err := NewNode(Config{ID: 0, Machines: testMachines(20, 40), Arrivals: []float64{3, 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := strings.TrimPrefix(n.ControlURL(), "http://")
+			if start && n.Start(nil) == nil {
+				t.Fatal("Start accepted a peer list without the node")
+			}
+			if err := end.f(n); err != nil {
+				t.Errorf("%s (failed Start %v): %v", end.name, start, err)
+			}
+			ln, err := net.Listen("tcp", addr)
+			if err != nil {
+				t.Fatalf("%s (failed Start %v) left the control address bound: %v", end.name, start, err)
+			}
+			ln.Close()
+		}
+	}
 }
 
 func TestFleetGracefulStopHandsOffLeadership(t *testing.T) {

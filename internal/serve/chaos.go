@@ -13,16 +13,14 @@ import (
 	"nashlb/internal/rng"
 )
 
-// ChaosPhase is one segment of a ChaosProxy's fault schedule. Phases are
-// sorted by Start (offset from proxy Start); the last phase whose Start has
-// passed is active. The zero phase is perfectly healthy pass-through.
+// ChaosPhase is the fault a ChaosProxy applies, in force from the Set that
+// installs it until the next Set replaces it. The zero phase is perfectly
+// healthy pass-through.
 //
-// The proxy applies the active phase to every work-hop frame it relays, job
-// and status frames alike. A work-hop upgrade itself meets only Down and
+// The proxy applies the phase to every work-hop frame it relays, job and
+// status frames alike. A work-hop upgrade itself meets only Down and
 // Blackhole.
 type ChaosPhase struct {
-	// Start is when this phase begins, measured from ChaosProxy.Start.
-	Start time.Duration
 	// ErrorRate is the probability an incoming frame is answered with an
 	// injected failure (a failed reply frame) instead of being relayed
 	// (seeded draw, reproducible).
@@ -46,34 +44,32 @@ type ChaosProxyConfig struct {
 	// Seed roots the injection stream: the same seed and request order
 	// reproduce the same fault pattern exactly.
 	Seed uint64
-	// Schedule holds the fault phases in Start order. Empty means healthy
-	// forever (a plain proxy).
-	Schedule []ChaosPhase
 	// Addr is the listen address ("127.0.0.1:0" when empty).
 	Addr string
 }
 
-// ChaosProxy sits between the gateway and one backend and injects faults on
-// a deterministic schedule: injected failures, added delay, black holes,
-// and hard connection drops. It relays upgraded work-hop connections frame
-// by frame and refuses any other request with 426, as a backend's /work
-// does. It is the serving-layer analogue of the dist-layer chaos transport
-// — frame faults instead of message faults — and is what the self-healing
-// e2e tests drive: every fault the health layer must survive can be
-// scripted, seeded, and replayed.
+// ChaosProxy sits between the gateway and one backend and injects the
+// current fault: injected failures, added delay, black holes, and hard
+// connection drops (Down is a crashed backend, as the gateway sees it). It
+// relays upgraded work-hop connections frame by frame and refuses any other
+// request with 426, as a backend's /work does. It is the serving-layer
+// analogue of the dist-layer chaos transport — frame faults instead of
+// message faults — and is what the self-healing tests drive. It keeps no
+// clock: whoever runs the scenario calls Set when a step is due, and the
+// seeded draws make a run replayable.
 type ChaosProxy struct {
 	cfg ChaosProxyConfig
 
 	ln    net.Listener
 	srv   *http.Server
 	wg    sync.WaitGroup
-	start time.Time
 	quit  chan struct{} // closed by Close: ends relayed delays
 	conns connSet       // relayed work-hop connections
 
 	target workTarget // where the work-hop relay dials
 
 	mu     sync.Mutex
+	cur    ChaosPhase
 	stream *rng.Stream
 
 	injected  int64 // injected failures (failed frames)
@@ -82,18 +78,11 @@ type ChaosProxy struct {
 	proxied   int64 // frames passed through
 }
 
-// NewChaosProxy validates the configuration and returns an unstarted proxy.
+// NewChaosProxy validates the configuration and returns an unstarted,
+// healthy proxy.
 func NewChaosProxy(cfg ChaosProxyConfig) (*ChaosProxy, error) {
 	if cfg.Target == "" {
 		return nil, errors.New("serve: chaos proxy needs a target")
-	}
-	for i, ph := range cfg.Schedule {
-		if ph.ErrorRate < 0 || ph.ErrorRate > 1 {
-			return nil, fmt.Errorf("serve: chaos phase %d: error rate %g outside [0,1]", i, ph.ErrorRate)
-		}
-		if i > 0 && ph.Start < cfg.Schedule[i-1].Start {
-			return nil, fmt.Errorf("serve: chaos phase %d starts before phase %d", i, i-1)
-		}
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -110,8 +99,7 @@ func NewChaosProxy(cfg ChaosProxyConfig) (*ChaosProxy, error) {
 	}, nil
 }
 
-// Start binds the listener and begins proxying. The schedule clock starts
-// now.
+// Start binds the listener and begins proxying.
 func (p *ChaosProxy) Start() error {
 	if p.ln != nil {
 		return errors.New("serve: chaos proxy already started")
@@ -121,7 +109,6 @@ func (p *ChaosProxy) Start() error {
 		return fmt.Errorf("serve: chaos proxy listen: %w", err)
 	}
 	p.ln = ln
-	p.start = time.Now()
 	p.srv = &http.Server{Handler: http.HandlerFunc(p.handle)}
 	p.wg.Add(1)
 	go func() {
@@ -155,18 +142,24 @@ func (p *ChaosProxy) Counts() (injected, dropped, blackholed, proxied int64) {
 	return p.injected, p.dropped, p.blackhole, p.proxied
 }
 
-// phase returns the active schedule entry (zero value when none started).
-func (p *ChaosProxy) phase() ChaosPhase {
-	elapsed := time.Since(p.start)
-	var active ChaosPhase
-	for _, ph := range p.cfg.Schedule {
-		if ph.Start <= elapsed {
-			active = ph
-		} else {
-			break
-		}
+// Set replaces the current fault with ph, which takes effect on the next
+// upgrade or frame. An error rate outside [0, 1] is rejected and leaves the
+// current fault in force.
+func (p *ChaosProxy) Set(ph ChaosPhase) error {
+	if !(ph.ErrorRate >= 0 && ph.ErrorRate <= 1) {
+		return fmt.Errorf("serve: chaos error rate %g outside [0,1]", ph.ErrorRate)
 	}
-	return active
+	p.mu.Lock()
+	p.cur = ph
+	p.mu.Unlock()
+	return nil
+}
+
+// phase returns the fault in force.
+func (p *ChaosProxy) phase() ChaosPhase {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cur
 }
 
 func (p *ChaosProxy) handle(w http.ResponseWriter, r *http.Request) {
@@ -214,7 +207,7 @@ func (p *ChaosProxy) relay(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// relayFrames applies the active phase to each request frame: Down closes
+// relayFrames applies the current phase to each request frame: Down closes
 // the connection unanswered, Blackhole holds it until the client gives up,
 // an injected failure is answered with a failed reply, and everything else
 // goes to the target after the phase's delay. An upstream failure, or a
@@ -306,75 +299,4 @@ func (p *ChaosProxy) Close() error {
 	p.wg.Wait()
 	p.srv = nil
 	return err
-}
-
-// Crasher wraps a Backend so it can be killed and revived at a fixed
-// address — process-death chaos for the self-healing tests. After Crash the
-// port refuses connections entirely; Restart brings a fresh backend (same
-// config, same address, empty queue) back up, like a supervisor restarting
-// a crashed worker.
-type Crasher struct {
-	cfg BackendConfig
-
-	mu sync.Mutex
-	b  *Backend
-}
-
-// NewCrasher starts the backend and pins its concrete address so restarts
-// land on the same port.
-func NewCrasher(cfg BackendConfig) (*Crasher, error) {
-	b, err := NewBackend(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.Start(); err != nil {
-		return nil, err
-	}
-	cfg.Addr = b.Addr()
-	return &Crasher{cfg: cfg, b: b}, nil
-}
-
-// URL returns the fixed base URL (stable across crash/restart cycles).
-func (c *Crasher) URL() string { return "http://" + c.cfg.Addr }
-
-// Backend returns the live backend, or nil while crashed.
-func (c *Crasher) Backend() *Backend {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.b
-}
-
-// Crash kills the backend; the address goes dark until Restart.
-func (c *Crasher) Crash() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.b == nil {
-		return nil
-	}
-	err := c.b.Close()
-	c.b = nil
-	return err
-}
-
-// Restart revives the backend on the original address with a fresh queue.
-func (c *Crasher) Restart() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.b != nil {
-		return nil
-	}
-	b, err := NewBackend(c.cfg)
-	if err != nil {
-		return err
-	}
-	if err := b.Start(); err != nil {
-		return err
-	}
-	c.b = b
-	return nil
-}
-
-// Close tears the crasher down for good.
-func (c *Crasher) Close() error {
-	return c.Crash()
 }

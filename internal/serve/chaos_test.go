@@ -4,10 +4,9 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
-
-	"nashlb/internal/testutil"
 )
 
 // chaosGet issues one GET and returns (status, transport error).
@@ -79,11 +78,8 @@ func TestChaosProxyPassThrough(t *testing.T) {
 
 func TestChaosProxyErrorInjection(t *testing.T) {
 	b := startBackend(t, BackendConfig{Rate: 500, Seed: 1})
-	p := startChaos(t, ChaosProxyConfig{
-		Target:   b.URL(),
-		Seed:     3,
-		Schedule: []ChaosPhase{{ErrorRate: 1}},
-	})
+	p := startChaos(t, ChaosProxyConfig{Target: b.URL(), Seed: 3})
+	setChaos(t, p, ChaosPhase{ErrorRate: 1})
 	replies, err := sendWork(p.URL(), 5, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -112,11 +108,8 @@ func TestChaosProxyDeterministicInjection(t *testing.T) {
 	const reqs = 60
 	pattern := func(seed uint64) []bool {
 		b := startBackend(t, BackendConfig{Rate: 2000, Seed: 9})
-		p := startChaos(t, ChaosProxyConfig{
-			Target:   b.URL(),
-			Seed:     seed,
-			Schedule: []ChaosPhase{{ErrorRate: 0.3}},
-		})
+		p := startChaos(t, ChaosProxyConfig{Target: b.URL(), Seed: seed})
+		setChaos(t, p, ChaosPhase{ErrorRate: 0.3})
 		replies, err := sendWork(p.URL(), reqs, 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -153,9 +146,9 @@ func TestChaosProxyDeterministicInjection(t *testing.T) {
 	}
 }
 
-// relayedConn upgrades a connection through the proxy in its healthy first
-// phase and waits until the proxy's schedule reaches the faulty second one.
-func relayedConn(t *testing.T, p *ChaosProxy, timeout time.Duration) *workConn {
+// relayedConn upgrades a connection through the healthy proxy, then sets
+// the fault, which the connection's next frame meets.
+func relayedConn(t *testing.T, p *ChaosProxy, fault ChaosPhase, timeout time.Duration) *workConn {
 	t.Helper()
 	target, err := parseWorkTarget(p.URL())
 	if err != nil {
@@ -167,9 +160,7 @@ func relayedConn(t *testing.T, p *ChaosProxy, timeout time.Duration) *workConn {
 	}
 	c := newWorkConn(nc)
 	t.Cleanup(func() { c.Close() })
-	testutil.WaitFor(t, 5*time.Second, "proxy never reached its fault phase", func() bool {
-		return p.phase() != ChaosPhase{}
-	})
+	setChaos(t, p, fault)
 	if err := c.SetDeadline(time.Now().Add(timeout)); err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +169,8 @@ func relayedConn(t *testing.T, p *ChaosProxy, timeout time.Duration) *workConn {
 
 func TestChaosProxyDown(t *testing.T) {
 	b := startBackend(t, BackendConfig{Rate: 500, Seed: 1})
-	p := startChaos(t, ChaosProxyConfig{
-		Target:   b.URL(),
-		Seed:     4,
-		Schedule: []ChaosPhase{{Down: true}},
-	})
+	p := startChaos(t, ChaosProxyConfig{Target: b.URL(), Seed: 4})
+	setChaos(t, p, ChaosPhase{Down: true})
 	if st, err := statusOf(p.URL(), 2*time.Second); err == nil {
 		t.Fatalf("down phase answered a status query: %+v", st)
 	}
@@ -194,12 +182,8 @@ func TestChaosProxyDown(t *testing.T) {
 	}
 
 	// A frame on a connection upgraded before the outage is dropped too.
-	p = startChaos(t, ChaosProxyConfig{
-		Target:   b.URL(),
-		Seed:     4,
-		Schedule: []ChaosPhase{{Start: 0}, {Start: 50 * time.Millisecond, Down: true}},
-	})
-	c := relayedConn(t, p, 2*time.Second)
+	p = startChaos(t, ChaosProxyConfig{Target: b.URL(), Seed: 4})
+	c := relayedConn(t, p, ChaosPhase{Down: true}, 2*time.Second)
 	if r, _, err := c.exchange(1, kindJob); err == nil {
 		t.Fatalf("down phase answered a frame: %+v", r)
 	}
@@ -210,12 +194,8 @@ func TestChaosProxyDown(t *testing.T) {
 
 func TestChaosProxyBlackhole(t *testing.T) {
 	b := startBackend(t, BackendConfig{Rate: 500, Seed: 1})
-	p := startChaos(t, ChaosProxyConfig{
-		Target:   b.URL(),
-		Seed:     5,
-		Schedule: []ChaosPhase{{Start: 0}, {Start: 50 * time.Millisecond, Blackhole: true}},
-	})
-	c := relayedConn(t, p, 200*time.Millisecond)
+	p := startChaos(t, ChaosProxyConfig{Target: b.URL(), Seed: 5})
+	c := relayedConn(t, p, ChaosPhase{Blackhole: true}, 200*time.Millisecond)
 	start := time.Now()
 	if r, _, err := c.exchange(1, kindJob); err == nil {
 		t.Fatalf("black-holed frame got an answer: %+v", r)
@@ -240,70 +220,83 @@ func TestChaosProxyBlackhole(t *testing.T) {
 
 func TestChaosProxySchedulePhases(t *testing.T) {
 	b := startBackend(t, BackendConfig{Rate: 500, Seed: 1})
-	p := startChaos(t, ChaosProxyConfig{
-		Target: b.URL(),
-		Seed:   6,
-		Schedule: []ChaosPhase{
-			{Start: 0},
-			{Start: 150 * time.Millisecond, ErrorRate: 1},
-		},
-	})
+	p := startChaos(t, ChaosProxyConfig{Target: b.URL(), Seed: 6})
 	if s, err := workStatusOf(p.URL(), 5*time.Second); err != nil || s != statusOK {
 		t.Fatalf("phase 0: reply %v err %v, want ok", s, err)
 	}
-	time.Sleep(200 * time.Millisecond)
+	setChaos(t, p, ChaosPhase{ErrorRate: 1})
 	if s, err := workStatusOf(p.URL(), 5*time.Second); err != nil || s != statusFailed {
 		t.Fatalf("phase 1: reply %v err %v, want an injected failure", s, err)
 	}
 }
 
 func TestChaosProxyRejectsBadSchedule(t *testing.T) {
-	if _, err := NewChaosProxy(ChaosProxyConfig{Target: "http://x", Schedule: []ChaosPhase{{ErrorRate: 1.5}}}); err == nil {
-		t.Fatal("error rate beyond 1 accepted")
-	}
-	if _, err := NewChaosProxy(ChaosProxyConfig{
-		Target: "http://x",
-		Schedule: []ChaosPhase{
-			{Start: time.Second},
-			{Start: 0},
-		},
-	}); err == nil {
-		t.Fatal("out-of-order schedule accepted")
-	}
 	if _, err := NewChaosProxy(ChaosProxyConfig{}); err == nil {
 		t.Fatal("missing target accepted")
 	}
-}
-
-func TestCrasherKillsAndRevives(t *testing.T) {
-	c, err := NewCrasher(BackendConfig{Rate: 500, Seed: 8})
+	p, err := NewChaosProxy(ChaosProxyConfig{Target: "http://x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	url := c.URL()
+	setChaos(t, p, ChaosPhase{ErrorRate: 0.5})
+	for _, rate := range []float64{1.5, -0.1} {
+		if err := p.Set(ChaosPhase{ErrorRate: rate}); err == nil {
+			t.Errorf("error rate %g accepted", rate)
+		}
+	}
+	if ph := p.phase(); ph.ErrorRate != 0.5 {
+		t.Fatalf("a rejected Set left phase %+v in force, want the error rate 0.5 before it", ph)
+	}
+}
 
-	if s, err := workStatusOf(url, 2*time.Second); err != nil || s != statusOK {
-		t.Fatalf("pre-crash: reply %v err %v", s, err)
+// TestChaosProxySetRacesRelay switches faults while clients relay frames
+// through the proxy, as a scenario's steps do under live load. Every frame
+// gets a relayed or injected answer or a closed connection; run it under
+// -race.
+func TestChaosProxySetRacesRelay(t *testing.T) {
+	b := startBackend(t, BackendConfig{Rate: 5000, Seed: 1})
+	p := startChaos(t, ChaosProxyConfig{Target: b.URL(), Seed: 7})
+	faults := []ChaosPhase{{ErrorRate: 0.5}, {Delay: time.Millisecond}, {Down: true}, {}}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Down fails the exchange (back off before redialling);
+				// any other fault answers.
+				if _, err := sendWork(p.URL(), 20, 2*time.Second); err != nil {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}()
 	}
-	if err := c.Crash(); err != nil {
+	for k := 0; ; k++ {
+		setChaos(t, p, faults[k%len(faults)])
+		injected, dropped, _, proxied := p.Counts()
+		if k >= 200 && injected > 0 && dropped > 0 && proxied > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	setChaos(t, p, ChaosPhase{})
+	if replies, err := sendWork(p.URL(), 3, 5*time.Second); err != nil || len(replies) != 3 || replies[2].Status != statusOK {
+		t.Fatalf("healed proxy: replies %+v err %v", replies, err)
+	}
+}
+
+// setChaos sets the proxy's fault, failing the test on a rejected phase.
+func setChaos(t *testing.T, p *ChaosProxy, ph ChaosPhase) {
+	t.Helper()
+	if err := p.Set(ph); err != nil {
 		t.Fatal(err)
-	}
-	if c.Backend() != nil {
-		t.Fatal("Backend() not nil while crashed")
-	}
-	if _, err := workStatusOf(url, 2*time.Second); err == nil {
-		t.Fatal("crashed backend still answering")
-	}
-	if err := c.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	// Same URL, fresh backend.
-	testutil.WaitFor(t, 2*time.Second, "restarted backend never answered", func() bool {
-		s, err := workStatusOf(url, 2*time.Second)
-		return err == nil && s == statusOK
-	})
-	if c.Backend() == nil || c.Backend().Served() == 0 {
-		t.Fatal("restarted backend has no served work")
 	}
 }

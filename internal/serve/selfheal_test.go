@@ -59,8 +59,9 @@ func TestHealthyStatusClassification(t *testing.T) {
 }
 
 // TestSelfHealingCrashAndRecovery is the self-healing acceptance run: three
-// live backends under open-loop Poisson load, the slowest one killed
-// mid-run. The health layer must trip its breaker, re-solve the Nash game
+// live backends under open-loop Poisson load, the slowest one crashed
+// mid-run (a chaos proxy's Down phase: every connection to it dies
+// unanswered, as to a dead process). The health layer must trip its breaker, re-solve the Nash game
 // over the two survivors and route the measured split to within 2 points of
 // the reduced-game equilibrium with (almost) no client-visible failures;
 // when the backend comes back, the recovery ramp must restore the full-set
@@ -75,17 +76,14 @@ func TestSelfHealingCrashAndRecovery(t *testing.T) {
 	survivorNash := solveNash(t, rates[1:], arrivals)
 	survivorFrac := aggregateSplit(arrivals, survivorNash, 2)
 
-	// Backend 0 is crashable; 1 and 2 are plain.
-	crasher, err := NewCrasher(BackendConfig{Rate: rates[0], Seed: 3000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { crasher.Close() })
+	// Backend 0 sits behind the proxy that crashes it; 1 and 2 are plain.
+	b0 := startBackend(t, BackendConfig{Rate: rates[0], Seed: 3000})
+	crash := startChaos(t, ChaosProxyConfig{Target: b0.URL(), Seed: 3003})
 	b1 := startBackend(t, BackendConfig{Rate: rates[1], Seed: 3001})
 	b2 := startBackend(t, BackendConfig{Rate: rates[2], Seed: 3002})
 
 	g, err := NewGateway(GatewayConfig{
-		Backends:     []string{crasher.URL(), b1.URL(), b2.URL()},
+		Backends:     []string{crash.URL(), b1.URL(), b2.URL()},
 		Rates:        rates,
 		Arrivals:     arrivals,
 		Profile:      fullNash,
@@ -106,11 +104,9 @@ func TestSelfHealingCrashAndRecovery(t *testing.T) {
 	}
 	t.Cleanup(func() { g.Close() })
 
-	// Kill backend 0; the prober must trip the breaker and install the
+	// Crash backend 0; the prober must trip the breaker and install the
 	// survivor equilibrium without any traffic flowing.
-	if err := crasher.Crash(); err != nil {
-		t.Fatal(err)
-	}
+	setChaos(t, crash, ChaosPhase{Down: true})
 	testutil.WaitFor(t, 5*time.Second, "breaker never opened after crash", func() bool {
 		snap := g.Metrics()
 		return len(snap.BreakerStates) == 3 && snap.BreakerStates[0] == "open"
@@ -173,12 +169,10 @@ func TestSelfHealingCrashAndRecovery(t *testing.T) {
 		}
 	}
 
-	// Recovery: restart the backend; trial probe + RampSteps health epochs
-	// must restore full weights and the full-set Nash profile.
+	// Recovery: bring the backend back; trial probe + RampSteps health
+	// epochs must restore full weights and the full-set Nash profile.
 	reequilsAtRecovery := g.Metrics().Reequilibrations
-	if err := crasher.Restart(); err != nil {
-		t.Fatal(err)
-	}
+	setChaos(t, crash, ChaosPhase{})
 	testutil.WaitFor(t, 10*time.Second, "gateway never returned to nominal", func() bool {
 		snap := g.Metrics()
 		// Weights hit 1 a beat before the final ramp install lands; wait for
@@ -236,8 +230,8 @@ func TestSelfHealingCrashAndRecovery(t *testing.T) {
 		servedDelta, survivorFrac, after.Reequilibrations)
 }
 
-// TestDegradedModeShedding kills one of two equal backends under a load the
-// survivor cannot feasibly carry. Degraded-mode admission must shed the
+// TestDegradedModeShedding crashes one of two equal backends (a chaos
+// proxy's Down phase) under a load the survivor cannot feasibly carry. Degraded-mode admission must shed the
 // excess with 503 + Retry-After, keep roughly the admit fraction of
 // requests flowing, and keep the measured mean response of admitted
 // requests within 25% of the closed-form M/M/1 prediction for the
@@ -254,14 +248,11 @@ func TestDegradedModeShedding(t *testing.T) {
 	nash := solveNash(t, rates, arrivals)
 
 	b0 := startBackend(t, BackendConfig{Rate: rates[0], Seed: 4000})
-	crasher, err := NewCrasher(BackendConfig{Rate: rates[1], Seed: 4001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { crasher.Close() })
+	b1 := startBackend(t, BackendConfig{Rate: rates[1], Seed: 4001})
+	crash := startChaos(t, ChaosProxyConfig{Target: b1.URL(), Seed: 4002})
 
 	g, err := NewGateway(GatewayConfig{
-		Backends:     []string{b0.URL(), crasher.URL()},
+		Backends:     []string{b0.URL(), crash.URL()},
 		Rates:        rates,
 		Arrivals:     arrivals,
 		Profile:      nash,
@@ -282,9 +273,7 @@ func TestDegradedModeShedding(t *testing.T) {
 	}
 	t.Cleanup(func() { g.Close() })
 
-	if err := crasher.Crash(); err != nil {
-		t.Fatal(err)
-	}
+	setChaos(t, crash, ChaosPhase{Down: true})
 	testutil.WaitFor(t, 5*time.Second, "degraded mode never engaged", func() bool {
 		return g.Degraded()
 	})
@@ -340,21 +329,15 @@ func TestDegradedModeShedding(t *testing.T) {
 // ChaosProxy fault window: a backend whose every request the proxy answers
 // with an injected `failed` reply frame must be cut off (probes see the same
 // faults), traffic must keep flowing on the healthy backend, and once the
-// fault phase ends the trial probe must fold the backend back in.
+// fault is healed the trial probe must fold the backend back in.
 func TestBreakerTripsOnInjectedErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live serving run")
 	}
 	healthy := startBackend(t, BackendConfig{Rate: 400, Seed: 5000})
 	faulty := startBackend(t, BackendConfig{Rate: 400, Seed: 5001})
-	proxy := startChaos(t, ChaosProxyConfig{
-		Target: faulty.URL(),
-		Seed:   51,
-		Schedule: []ChaosPhase{
-			{Start: 0, ErrorRate: 1},
-			{Start: 1200 * time.Millisecond}, // heal
-		},
-	})
+	proxy := startChaos(t, ChaosProxyConfig{Target: faulty.URL(), Seed: 51})
+	setChaos(t, proxy, ChaosPhase{ErrorRate: 1})
 
 	g, err := NewGateway(GatewayConfig{
 		Backends:     []string{healthy.URL(), proxy.URL()},
@@ -396,7 +379,8 @@ func TestBreakerTripsOnInjectedErrors(t *testing.T) {
 		t.Fatalf("healthy backend served %d, want all 20", snap.BackendRequests[0])
 	}
 
-	// After the heal phase the trial probe must re-admit the backend.
+	// After the heal the trial probe must re-admit the backend.
+	setChaos(t, proxy, ChaosPhase{})
 	testutil.WaitFor(t, 10*time.Second, "faulty backend never recovered", func() bool {
 		snap := g.Metrics()
 		return snap.BreakerStates[1] == "closed" && snap.Weights[1] == 1
