@@ -238,3 +238,92 @@ func TestDocsCiteDeclaredGoNames(t *testing.T) {
 		}
 	}
 }
+
+// citedPath matches a backticked repo path: `internal/...`, `cmd/...` or
+// `examples/...`, with or without a leading ./ (`go run ./cmd/loadgen`).
+var citedPath = regexp.MustCompile("`(?:[^`]*\\s)?(?:\\./)?((?:internal|cmd|examples)/[A-Za-z0-9_./-]*)")
+
+// missingPaths returns the repo paths doc cites in backticks that do not
+// exist under root.
+func missingPaths(root, doc string) []string {
+	var missing []string
+	for _, m := range citedPath.FindAllStringSubmatch(doc, -1) {
+		path := strings.TrimRight(m[1], "./")
+		if _, err := os.Stat(filepath.Join(root, path)); err != nil {
+			missing = append(missing, path)
+		}
+	}
+	return missing
+}
+
+// TestDocsCiteExistingPaths checks every backticked internal/, cmd/ or
+// examples/ path README.md, DESIGN.md, EXPERIMENTS.md and the verify skill
+// cite, so a doc cannot keep pointing at a deleted package or command.
+func TestDocsCiteExistingPaths(t *testing.T) {
+	const root = "../.."
+	if got := missingPaths(root, "`internal/serve`, `go run ./cmd/nashgate -backend`, `internal/nosuch`, `examples/quickstart/`"); len(got) != 1 || got[0] != "internal/nosuch" {
+		t.Fatalf("the check finds %q missing, want only internal/nosuch", got)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range missingPaths(root, string(text)) {
+			t.Errorf("%s cites `%s`, which does not exist", doc, path)
+		}
+	}
+}
+
+// usageFlag matches a flag named in a command's usage comment: a dash
+// after a space, bracket, parenthesis or slash (-poll/-update-every).
+var usageFlag = regexp.MustCompile(`(?:^|[\s\[(/])-([a-z][a-z0-9-]*)`)
+
+// TestNashgateUsageNamesEveryFlag checks that cmd/nashgate's usage comment
+// and its flag set name the same flags: each fs.* call's name literal
+// against every -flag the package comment mentions.
+func TestNashgateUsageNamesEveryFlag(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "../nashgate/main.go", nil, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	usage := map[string]bool{}
+	for _, m := range usageFlag.FindAllStringSubmatch(f.Doc.Text(), -1) {
+		usage[m[1]] = true
+	}
+	defined := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "fs" {
+			return true
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				defined[strings.Trim(lit.Value, `"`)] = true
+				break
+			}
+		}
+		return true
+	})
+	if len(defined) < 30 {
+		t.Fatalf("found %d flag definitions; the fs.* scan is broken", len(defined))
+	}
+	for name := range defined {
+		if !usage[name] {
+			t.Errorf("flag -%s is defined but the usage comment does not name it", name)
+		}
+	}
+	for name := range usage {
+		if !defined[name] {
+			t.Errorf("the usage comment names -%s, which no flag defines", name)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Command nashgate is the live serving gateway: it routes real HTTP traffic
 // across backend workers by the Nash equilibrium of the paper's load
-// balancing game, with admission control, live re-equilibration from polled
+// balancing game, with admission control, live re-equilibration from probed
 // queue depths, and Prometheus-style /metrics.
 //
 // Gateway mode (default). Give it the backend URLs and the game (rates and
@@ -8,7 +8,7 @@
 //
 //	nashgate -backends http://h1:8081,http://h2:8082 -rates 10,50 \
 //	         -arrivals 2x12 [-listen :8080] [-profile nash|ps] \
-//	         [-poll 500ms] [-update-every 1] [-alpha 0.2] \
+//	         [-update-every 0] [-alpha 0.2] \
 //	         [-fill 100 -burst 200] [-seed 2002]
 //
 // The self-healing layer (on by default) probes backends, trips per-backend
@@ -45,16 +45,16 @@
 //	nashgate -fleet -fleet-id 0 \
 //	         -fleet-peers http://g0:9090,http://g1:9090,http://g2:9090 \
 //	         -fleet-listen :9090 -backends ... -rates ... -arrivals ... \
-//	         [-heartbeat 50ms] [-solve-every 250ms] \
-//	         [-autoscale] [-scale-low 0.3] [-scale-high 0.8] \
-//	         [-scale-sustain 3] [-min-active 1]
+//	         [-heartbeat 50ms] [-solve-every 250ms] [-quorum 0] \
+//	         [-fleet-durable-dir DIR] [-autoscale] [-scale-low 0.3] \
+//	         [-scale-high 0.8] [-scale-sustain 3] [-min-active 1]
 //
 // A replica's gateway runs with every gateway flag above, as in gateway
 // mode: -listen, -seed, -fill/-burst, -timeout, -retries, the self-healing
-// flags, -retry-budget, -max-idle-per-host and -poll/-update-every/-alpha.
+// flags, -retry-budget, -max-idle-per-host and -update-every/-alpha.
 // -backends, -rates and -arrivals give the machine universe and the nominal
 // game, and -profile does not apply: the leader's tables route, and a
-// replica's -poll loop only keeps its saturation estimate fresh.
+// replica's probe sweep only keeps its saturation estimate fresh.
 //
 // The control listener adds /fleet (replica status), /fleet/heartbeat,
 // /fleet/report, /fleet/table and /fleet/machines.
@@ -128,8 +128,7 @@ func parseFlags(args []string) (command, error) {
 	rates := fs.String("rates", "", "gateway: backend service rates mu_j (jobs/s), one per backend")
 	arrivals := fs.String("arrivals", "", "gateway: user arrival rates phi_i (jobs/s)")
 	fs.StringVar(&c.profile, "profile", "nash", "gateway: initial routing profile, nash or ps")
-	fs.DurationVar(&g.PollEvery, "poll", 0, "gateway: re-equilibration poll period (0 = static routing)")
-	fs.IntVar(&g.UpdateEvery, "update-every", 1, "gateway: play one best response every this many polls")
+	fs.IntVar(&g.UpdateEvery, "update-every", 0, "gateway: play one best response every this many complete probe sweeps (0 = static routing; needs -probe)")
 	fs.Float64Var(&g.Alpha, "alpha", 0.2, "gateway: EWMA weight for queue-depth observations")
 	fs.Float64Var(&g.FillRate, "fill", 0, "gateway: token-bucket fill rate (req/s; 0 disables admission)")
 	fs.Float64Var(&g.Burst, "burst", 0, "gateway: token-bucket burst size")

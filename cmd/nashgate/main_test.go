@@ -10,22 +10,22 @@ import (
 )
 
 // TestFlagsGiveBothModesOneGatewayConfig: the gateway flags build one
-// serve.GatewayConfig, and fleet mode runs its gateway with it. The four
-// flags fleet mode once dropped (-poll, -update-every, -alpha and
+// serve.GatewayConfig, and fleet mode runs its gateway with it. The three
+// flags fleet mode once dropped (-update-every, -alpha and
 // -max-idle-per-host) reach it, and the defaults stay the same.
 func TestFlagsGiveBothModesOneGatewayConfig(t *testing.T) {
 	gameFlags := []string{"-backends", "http://a:1/,http://b:2", "-rates", "50,10", "-arrivals", "2x12"}
 	fleetFlags := []string{"-fleet", "-fleet-id", "1", "-fleet-peers", "http://g0:9090,http://g1:9090/"}
-	tuned := []string{"-poll", "2s", "-update-every", "3", "-alpha", "0.5", "-max-idle-per-host", "64"}
+	tuned := []string{"-update-every", "3", "-alpha", "0.5", "-max-idle-per-host", "64"}
 
 	defaults := serve.GatewayConfig{
 		Backends: []string{"http://a:1", "http://b:2"}, Rates: []float64{50, 10}, Arrivals: []float64{12, 12},
-		Seed: 2002, UpdateEvery: 1, Alpha: 0.2, Timeout: 5 * time.Second, Retries: 2,
+		Seed: 2002, Alpha: 0.2, Timeout: 5 * time.Second, Retries: 2,
 		ProbeEvery: 250 * time.Millisecond, Breaker: serve.BreakerConfig{Failures: 3, Cooldown: time.Second},
 		RampSteps: 3, DegradedRho: 0.9, RetryBudget: 0.1, Addr: "127.0.0.1:0",
 	}
 	withTuned := defaults
-	withTuned.PollEvery, withTuned.UpdateEvery, withTuned.Alpha, withTuned.MaxIdleConnsPerHost = 2*time.Second, 3, 0.5, 64
+	withTuned.UpdateEvery, withTuned.Alpha, withTuned.MaxIdleConnsPerHost = 3, 0.5, 64
 
 	for _, c := range []struct {
 		extra []string

@@ -34,14 +34,6 @@ func (f *Fence) Accept(epoch, version uint64) bool {
 	return true
 }
 
-// Stale reports whether (epoch, version) would be rejected, without
-// advancing the mark — the read-only probe for "has this been superseded?".
-func (f *Fence) Stale(epoch, version uint64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return epoch < f.epoch || (epoch == f.epoch && version <= f.version)
-}
-
 // Current returns the last accepted (epoch, version).
 func (f *Fence) Current() (epoch, version uint64) {
 	f.mu.Lock()

@@ -31,23 +31,6 @@ func TestFenceAcceptsStrictlyNewer(t *testing.T) {
 	}
 }
 
-func TestFenceStaleDoesNotAdvance(t *testing.T) {
-	var f Fence
-	if !f.Accept(3, 5) {
-		t.Fatal("Accept(3, 5) on a fresh fence must pass")
-	}
-	if !f.Stale(3, 5) || !f.Stale(2, 100) {
-		t.Fatal("equal and older marks must probe stale")
-	}
-	if f.Stale(3, 6) || f.Stale(4, 0) {
-		t.Fatal("newer marks must not probe stale")
-	}
-	// Probing newer marks must not have advanced anything.
-	if !f.Accept(3, 6) {
-		t.Fatal("Stale must be read-only: (3, 6) should still be acceptable")
-	}
-}
-
 // TestFenceConcurrentSingleWinner drives many goroutines at the same mark:
 // exactly one Accept per distinct (epoch, version) may win, and the final
 // mark is the maximum offered — the split-brain guard under concurrency.

@@ -443,7 +443,7 @@ func (n *Node) Kill() error {
 // (breaker trip, recovery ramp step) just needs the next solve to see fresh
 // weights, which /fleet/report serves on demand — so the only action is to
 // nudge the run loop so a leading node solves sooner. Never blocks (it runs
-// on the gateway's health loop).
+// on the gateway's control loop).
 func (n *Node) onWeights([]float64) {
 	select {
 	case n.kick <- struct{}{}:

@@ -125,21 +125,6 @@ func (s *System) Clone() *System {
 	}
 }
 
-// WithUtilization returns a copy of the system whose arrival rates are
-// rescaled so the aggregate utilization equals rho, preserving the users'
-// relative traffic mix. It panics unless 0 < rho < 1.
-func (s *System) WithUtilization(rho float64) *System {
-	if !(rho > 0 && rho < 1) {
-		panic("game: WithUtilization needs 0 < rho < 1")
-	}
-	c := s.Clone()
-	scale := rho * s.TotalCapacity() / s.TotalArrival()
-	for i := range c.Arrivals {
-		c.Arrivals[i] *= scale
-	}
-	return c
-}
-
 // Strategy is one user's load-balancing strategy: Strategy[j] is the
 // fraction of the user's jobs dispatched to computer j.
 type Strategy []float64
@@ -214,18 +199,6 @@ func DistinctRows(p Profile) (rows []Strategy, rowOf []int32) {
 		rowOf[i] = r
 	}
 	return rows, rowOf
-}
-
-// UniformProfile returns the profile in which every user spreads jobs
-// equally over all computers.
-func UniformProfile(m, n int) Profile {
-	p := NewProfile(m, n)
-	for i := range p {
-		for j := range p[i] {
-			p[i][j] = 1 / float64(n)
-		}
-	}
-	return p
 }
 
 // ProportionalProfile returns the profile of the paper's PS scheme (and the

@@ -76,41 +76,8 @@ func TestAggregates(t *testing.T) {
 	}
 }
 
-func TestWithUtilization(t *testing.T) {
-	s := twoBy3()
-	for _, rho := range []float64{0.1, 0.5, 0.9} {
-		scaled := s.WithUtilization(rho)
-		if got := scaled.Utilization(); math.Abs(got-rho) > 1e-12 {
-			t.Errorf("rho = %v, want %v", got, rho)
-		}
-		// Relative mix preserved.
-		if got := scaled.Arrivals[0] / scaled.Arrivals[1]; math.Abs(got-0.5) > 1e-12 {
-			t.Errorf("mix = %v, want 0.5", got)
-		}
-		if err := scaled.Validate(); err != nil {
-			t.Errorf("scaled system invalid: %v", err)
-		}
-	}
-	// Original untouched.
-	if s.Arrivals[0] != 5 {
-		t.Error("WithUtilization mutated receiver")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("rho=1 should panic")
-		}
-	}()
-	s.WithUtilization(1)
-}
-
 func TestProfileConstructors(t *testing.T) {
 	s := twoBy3()
-	u := UniformProfile(2, 3)
-	for i := range u {
-		if err := CheckStrategy(u[i], 3); err != nil {
-			t.Errorf("uniform strategy infeasible: %v", err)
-		}
-	}
 	p := ProportionalProfile(s)
 	want := []float64{10.0 / 60, 20.0 / 60, 30.0 / 60}
 	for i := range p {
@@ -126,7 +93,7 @@ func TestProfileConstructors(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	p := UniformProfile(2, 2)
+	p := Profile{{0.5, 0.5}, {0.5, 0.5}}
 	q := p.Clone()
 	q[0][0] = 0.9
 	if p[0][0] == 0.9 {

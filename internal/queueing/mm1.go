@@ -145,19 +145,3 @@ func SystemResponseTime(mus, lambdas []float64) (float64, error) {
 	}
 	return weighted / total, nil
 }
-
-// AggregateUtilization returns sum(lambda)/sum(mu), the system utilization
-// metric used on the x-axis of the paper's Figure 4.
-func AggregateUtilization(mus, lambdas []float64) float64 {
-	var sm, sl float64
-	for _, m := range mus {
-		sm += m
-	}
-	for _, l := range lambdas {
-		sl += l
-	}
-	if sm == 0 {
-		return 0
-	}
-	return sl / sm
-}

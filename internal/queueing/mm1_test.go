@@ -157,15 +157,6 @@ func TestSystemResponseTimeEdge(t *testing.T) {
 	}
 }
 
-func TestAggregateUtilization(t *testing.T) {
-	if got := AggregateUtilization([]float64{10, 20, 30}, []float64{6, 6, 6}); math.Abs(got-0.3) > 1e-15 {
-		t.Errorf("utilization = %v, want 0.3", got)
-	}
-	if got := AggregateUtilization(nil, []float64{1}); got != 0 {
-		t.Errorf("zero capacity should give 0, got %v", got)
-	}
-}
-
 func TestPoolingBeatsSplitting(t *testing.T) {
 	// Sanity of the model: one fast server beats two half-speed servers at
 	// equal total load — the structural reason slow computers get no jobs

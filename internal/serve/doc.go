@@ -12,13 +12,14 @@
 //	        → per-backend bounded FCFS queue (exponential work at rate mu_j)
 //	        → metrics (/metrics text format: counters, gauges, log histograms)
 //
-// The work hop carries everything a gateway sends a backend: jobs, health
-// probes and queue-depth reads are frames on the same pooled connections.
-// Closing the paper's loop on measured state, the gateway periodically reads
-// every backend's queue depth, inverts the depths to load estimates with
-// internal/estimate (Remark 2 of the paper), lets one user at a time play a
-// best response via internal/online's balancer, and hot-swaps the routing
-// table atomically — no user ever needs the others' arrival rates.
+// The work hop carries everything a gateway sends a backend: jobs and health
+// probes are frames on the same pooled connections. One control loop per
+// gateway closes the paper's loop on measured state: every probe period it
+// reads every backend's queue depth, inverts the depths to load estimates
+// with internal/estimate (Remark 2 of the paper) and, with UpdateEvery set,
+// lets one user at a time play a best response via internal/online's
+// balancer, hot-swapping the routing table atomically — no user ever needs
+// the others' arrival rates.
 //
 // Every stochastic element (service draws, routing picks, interarrival
 // times) runs on seeded internal/rng streams, so a loadgen run's routing

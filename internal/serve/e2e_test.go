@@ -154,7 +154,7 @@ func TestEndToEndNashServing(t *testing.T) {
 }
 
 // TestEndToEndRebalancing starts the gateway on the proportional profile
-// with the re-equilibration loop live and verifies that, while real traffic
+// with the online balancer live and verifies that, while real traffic
 // flows, the hot-swapped routing improves on the starting allocation. Best
 // responses to noisy integer queue depths keep the installed profile
 // jittering around the equilibrium, so no single instant is meaningful; the
@@ -202,9 +202,12 @@ func TestEndToEndRebalancing(t *testing.T) {
 		Arrivals:    arrivals,
 		Profile:     game.ProportionalProfile(sys),
 		Seed:        5,
-		PollEvery:   50 * time.Millisecond,
+		ProbeEvery:  50 * time.Millisecond,
 		UpdateEvery: 4, // observe 4 sweeps per best response: steadier estimates
 		Alpha:       0.2,
+		// The sweeps are health probes too: a status reply slowed by the
+		// race detector must not read as a dead backend.
+		ProbeTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,6 +294,11 @@ func TestEndToEndRebalancing(t *testing.T) {
 	}
 	if got := g.met.rebalances.Load(); got < wantRebalances {
 		t.Fatalf("loop stalled: %d polls, %d of %d rebalances within %v", g.met.polls.Load(), got, wantRebalances, deadline)
+	}
+	// Only the balancer may have moved the table: a breaker trip would have
+	// re-solved over the survivors instead.
+	if snap := g.Metrics(); snap.Reequilibrations != 0 || snap.BreakerOpens != 0 {
+		t.Fatalf("health layer acted: %d re-equilibrations, %d breaker opens", snap.Reequilibrations, snap.BreakerOpens)
 	}
 	// The settled median is over the samples taken from half to all of the
 	// wanted best responses; a window still sending after the count is

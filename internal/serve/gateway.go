@@ -45,12 +45,12 @@ type GatewayConfig struct {
 	FillRate float64
 	Burst    float64
 
-	// PollEvery is the re-equilibration period: every tick the gateway
-	// reads every backend's queue depth with a status frame and feeds the
-	// online balancer. Zero disables the loop (static routing).
-	PollEvery time.Duration
-	// UpdateEvery plays one user's best response every this many polls
-	// (default 1: one user per tick, the paper's serialized discipline).
+	// UpdateEvery turns on the online balancer: every complete probe sweep
+	// (see ProbeEvery) feeds it the backends' queue depths, and every
+	// UpdateEvery-th sweep one user, round-robin, plays a best response (the
+	// paper's serialized discipline). Zero, the default, leaves it off
+	// (static routing between health re-solves). A positive value needs
+	// ProbeEvery; a managed gateway (OnWeights set) builds no balancer.
 	UpdateEvery int
 	// Alpha is the EWMA weight for queue-depth observations (default 0.2).
 	Alpha float64
@@ -73,11 +73,14 @@ type GatewayConfig struct {
 	// (retries limited only by Retries).
 	RetryBudget float64
 
-	// ProbeEvery enables the backend health layer: every tick each backend
-	// is actively probed with a status frame, probe and request outcomes
-	// feed a per-backend circuit breaker, and breaker trips/recoveries
-	// re-solve the Nash game over the surviving machine set (degraded-mode
-	// load shedding included). Zero disables the layer entirely.
+	// ProbeEvery is the period of the gateway's one control loop and
+	// enables the backend health layer: every tick each backend is actively
+	// probed with a status frame, probe and request outcomes feed a
+	// per-backend circuit breaker, and breaker trips/recoveries re-solve the
+	// Nash game over the surviving machine set (degraded-mode load shedding
+	// included). A sweep every backend answered also refreshes the
+	// saturation estimate and feeds the online balancer (UpdateEvery). Zero
+	// disables the layer and the loop entirely.
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds each probe attempt (default min(ProbeEvery, 500ms)).
 	ProbeTimeout time.Duration
@@ -98,7 +101,7 @@ type GatewayConfig struct {
 	DegradedRho float64
 
 	// MaxIdleConnsPerHost caps each backend's idle work-hop connections,
-	// which carry jobs, probes and depth polls one request at a time each,
+	// which carry jobs and probes one request at a time each,
 	// so requests reuse warm connections instead of paying a dial and
 	// upgrade per request (reuse counters are exported on /metrics).
 	// Default 512.
@@ -109,7 +112,7 @@ type GatewayConfig struct {
 	// the gateway reports the new weight vector to this callback and waits
 	// for the control plane to InstallTable a fresh equilibrium. Degraded-
 	// mode shedding decisions move to the control plane too (Table.AdmitFrac).
-	// The callback runs on the health loop goroutine and must not block.
+	// The callback runs on the control loop goroutine and must not block.
 	// Managed gateways keep the local fallback of falling back to live
 	// backends per request, so they stay safe on a stale table.
 	OnWeights func(weights []float64)
@@ -125,7 +128,7 @@ type GatewayConfig struct {
 }
 
 // routeTable is an immutable, fully pre-resolved routing state, swapped
-// atomically by the re-equilibration loop. Resolution happens once at table
+// atomically by the control loop. Resolution happens once at table
 // install, never per request: users with identical strategy rows — the
 // common case, since equilibrium rows depend only on a user's class — are
 // mapped to one shared class (classOf), each class owns one O(1) alias
@@ -191,11 +194,11 @@ func weightOrder(weights []float64, positiveOnly bool) []int32 {
 
 // Gateway is the serving gateway: it admits requests, routes each one to a
 // backend by weighted sampling over the current strategy profile, forwards
-// it over the binary work hop with retries, and (optionally) re-equilibrates
-// the profile from polled queue depths while traffic flows. With the health
-// layer enabled it additionally circuit-breaks dead backends, re-solves the
-// Nash game over the survivors, sheds infeasible load, and folds recovered
-// machines back in on a capacity ramp.
+// it over the binary work hop with retries. With the health layer enabled it
+// circuit-breaks dead backends, re-solves the Nash game over the survivors,
+// sheds infeasible load, folds recovered machines back in on a capacity ramp,
+// and (optionally) re-equilibrates the profile from probed queue depths
+// while traffic flows.
 type Gateway struct {
 	cfg GatewayConfig
 
@@ -220,7 +223,7 @@ type Gateway struct {
 	budget      *retryBudget
 	shed        atomic.Pointer[shedConfig]
 	healthKick  chan struct{}
-	lastWeights []float64 // healthLoop-owned: weights at the last install
+	lastWeights []float64 // controlLoop-owned: weights at the last install
 
 	// Control-plane state: drained backends are administratively out of
 	// rotation (distinct from breaker-dead), draining refuses new admissions
@@ -272,8 +275,11 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if len(cfg.Profile) != m {
 		return nil, fmt.Errorf("serve: profile has %d rows for %d users", len(cfg.Profile), m)
 	}
-	if cfg.UpdateEvery < 1 {
-		cfg.UpdateEvery = 1
+	if cfg.UpdateEvery < 0 {
+		return nil, fmt.Errorf("serve: negative UpdateEvery %d", cfg.UpdateEvery)
+	}
+	if cfg.UpdateEvery > 0 && cfg.ProbeEvery <= 0 {
+		return nil, errors.New("serve: UpdateEvery needs ProbeEvery: the balancer feeds on the probe sweep")
 	}
 	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
 		cfg.Alpha = 0.2
@@ -363,13 +369,13 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	g.table.Store(table)
 
-	if cfg.PollEvery > 0 {
+	if cfg.UpdateEvery > 0 && cfg.OnWeights == nil {
 		bal, err := online.New(cfg.Rates, cfg.Arrivals, cfg.Alpha)
 		if err != nil {
 			cancel()
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		g.policy = bal.Policy(cfg.PollEvery.Seconds(), cfg.UpdateEvery).Do
+		g.policy = bal.Policy(cfg.ProbeEvery.Seconds(), cfg.UpdateEvery).Do
 	}
 	if cfg.ProbeEvery > 0 {
 		g.health = newHealthTracker(n, cfg.Breaker, cfg.RampSteps)
@@ -381,8 +387,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-// Start binds the listener, serves HTTP, and launches the re-equilibration
-// and health loops when configured.
+// Start binds the listener, serves HTTP, and launches the control loop when
+// the health layer is on.
 func (g *Gateway) Start() error {
 	if g.ln != nil {
 		return errors.New("serve: gateway already started")
@@ -409,13 +415,9 @@ func (g *Gateway) Start() error {
 		_ = g.srv.Serve(ln)
 	}()
 
-	if g.cfg.PollEvery > 0 {
-		g.wg.Add(1)
-		go g.rebalanceLoop()
-	}
 	if g.health != nil {
 		g.wg.Add(1)
-		go g.healthLoop()
+		go g.controlLoop()
 	}
 	return nil
 }
@@ -457,8 +459,9 @@ func (g *Gateway) Metrics() *Snapshot {
 	return s
 }
 
-// Saturated reports whether the last estimation sweep put every backend at
-// or above its capacity (the reject-on-saturation condition).
+// Saturated reports whether the last complete probe sweep estimated every
+// backend's utilization at or above saturationRho (0.95), the
+// reject-on-saturation condition.
 func (g *Gateway) Saturated() bool { return g.satur.Load() }
 
 // Degraded reports whether degraded-mode admission shedding is active.
@@ -482,11 +485,10 @@ func (g *Gateway) SetControlDegraded(v bool) { g.ctrlDegraded.Store(v) }
 // ControlDegraded reports the control-plane degradation flag.
 func (g *Gateway) ControlDegraded() bool { return g.ctrlDegraded.Load() }
 
-// Close stops the re-equilibration and health loops and the HTTP server.
-// The gateway context is cancelled first so an epoch in flight (a queue
-// poll, a health probe sweep) aborts promptly instead of holding Close for
-// a full backend timeout, and neither loop installs a routing table or
-// touches metrics once Close has returned.
+// Close stops the control loop and the HTTP server. The gateway context is
+// cancelled first so a probe sweep in flight aborts promptly instead of
+// holding Close for a full probe timeout, and the loop installs no routing
+// table and touches no metrics once Close has returned.
 func (g *Gateway) Close() error {
 	if g.srv == nil {
 		return nil
@@ -565,7 +567,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// token bucket shapes the accepted rate; degraded-mode shedding caps the
 	// admitted rate at what the surviving capacity can feasibly carry; the
 	// saturation flag refuses work when the estimated load leaves no backend
-	// with spare capacity (estimated rho_j >= 1 everywhere).
+	// with spare capacity (estimated rho_j >= saturationRho, 0.95, everywhere).
 	if g.draining.Load() {
 		g.met.rejectedDrain.Add(1)
 		w.Header().Set("Retry-After", "1")
@@ -689,7 +691,7 @@ func (g *Gateway) userID(r *http.Request) (int, error) {
 }
 
 // reportHealth feeds one attempt outcome into the backend's breaker and, on
-// a state change, wakes the health loop to re-equilibrate immediately
+// a state change, wakes the control loop to re-equilibrate immediately
 // instead of waiting out the probe period.
 func (g *Gateway) reportHealth(backend int, ok bool, errText string) {
 	if g.health == nil {
@@ -948,287 +950,3 @@ func (g *Gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(st)
 }
-
-// rebalanceLoop closes the paper's measurement loop: poll every backend's
-// queue depth, update the saturation estimate, and hand the depths to the
-// online balancer, installing any best-response profile it returns. While
-// the health layer holds a non-nominal view (a breaker open, a recovery
-// ramp in progress) the loop keeps observing but does not install: the
-// survivor re-equilibration owns the routing table until the full set is
-// back.
-func (g *Gateway) rebalanceLoop() {
-	defer g.wg.Done()
-	ticker := time.NewTicker(g.cfg.PollEvery)
-	defer ticker.Stop()
-	start := time.Now()
-	for {
-		select {
-		case <-g.quit:
-			return
-		case <-ticker.C:
-		}
-		depths, ok := g.pollDepths()
-		if !ok || g.closing() {
-			continue
-		}
-		g.met.polls.Add(1)
-		g.updateSaturation(depths)
-		if g.cfg.OnWeights != nil {
-			// Managed mode: keep the saturation estimate fresh but never
-			// install a locally computed table over the control plane's.
-			continue
-		}
-		next := g.policy(time.Since(start).Seconds(), depths, g.Profile())
-		if next == nil || !g.installable(next) {
-			continue
-		}
-		if g.health != nil && !g.health.nominal() {
-			continue
-		}
-		table, err := newRouteTable(next, len(g.cfg.Backends))
-		if err != nil {
-			continue // infeasible best response; keep routing as-is
-		}
-		// A best response re-routes the admitted load; the degraded-mode
-		// admission stays as installed.
-		g.installMu.Lock()
-		if g.installLocked(table, g.shed.Load(), nil) {
-			g.met.rebalances.Add(1)
-		}
-		g.installMu.Unlock()
-	}
-}
-
-// healthLoop drives the health layer: every ProbeEvery it probes all
-// backends, advances recovery ramps, and re-solves the routing whenever the
-// effective machine set changed — one iteration is one "health epoch". A
-// breaker trip from the request path kicks the loop immediately so the
-// survivors take over without waiting out the probe period.
-func (g *Gateway) healthLoop() {
-	defer g.wg.Done()
-	ticker := time.NewTicker(g.cfg.ProbeEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-g.quit:
-			return
-		case <-ticker.C:
-			// Ramps advance before probing: a backend whose trial succeeded
-			// last epoch has now carried one full epoch at its current
-			// weight, while a trial passing in this sweep re-admits at the
-			// first ramp step and keeps it for a whole epoch.
-			g.health.advanceRamps()
-			g.probeAll()
-		case <-g.healthKick:
-		}
-		if g.closing() {
-			return
-		}
-		w := g.health.weights()
-		if !weightsEqual(w, g.lastWeights) {
-			if g.cfg.OnWeights != nil {
-				// Managed mode: the control plane owns routing. Report the
-				// change and keep serving the installed table; per-request
-				// fallback already steers around the cut-off machines.
-				g.cfg.OnWeights(w)
-			} else {
-				g.reequilibrate(w)
-			}
-			g.lastWeights = w
-		}
-	}
-}
-
-func weightsEqual(a, b []float64) bool {
-	for j := range a {
-		if a[j] != b[j] {
-			return false
-		}
-	}
-	return true
-}
-
-// probeAll actively probes every backend concurrently: closed breakers get
-// a routine liveness check, open breakers past their cooldown get the
-// single half-open trial. Probe outcomes feed the breakers exactly like
-// request outcomes.
-func (g *Gateway) probeAll() {
-	var wg sync.WaitGroup
-	for j := range g.cfg.Backends {
-		j := j
-		switch g.health.brs[j].State() {
-		case BreakerOpen:
-			if !g.health.brs[j].Trial() {
-				continue // still cooling down
-			}
-		case BreakerHalfOpen:
-			continue // a trial is already in flight
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ok, errText := g.probe(j)
-			g.health.noteProbe(j, ok)
-			g.reportHealth(j, ok, errText)
-		}()
-	}
-	wg.Wait()
-}
-
-// probe performs one health check with the shared retry-horizon arithmetic:
-// the number of in-probe retries is whatever backoff delays fit inside one
-// ProbeTimeout (dist.Backoff.AttemptsFor), so probe cadence and request
-// retries are configured by the same two knobs. Each attempt is a status
-// query, so a passing probe also reads the backend's queue depth.
-func (g *Gateway) probe(j int) (bool, string) {
-	backoff := dist.Backoff{Base: g.cfg.RetryBase, Max: g.cfg.RetryMax}
-	attempts := 1 + backoff.AttemptsFor(g.cfg.ProbeTimeout)
-	var lastErr string
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			select {
-			case <-time.After(backoff.Next()):
-			case <-g.ctx.Done():
-				return false, "gateway shutting down"
-			}
-		}
-		if _, err := g.queryStatus(j, g.cfg.ProbeTimeout); err != nil {
-			lastErr = err.Error()
-			continue
-		}
-		return true, ""
-	}
-	return false, lastErr
-}
-
-// queryStatus sends backend j one status frame, under a deadline timeout
-// from now and the gateway context (Close aborts it), and returns the jobs
-// in system it reports, which also set the backend's depth gauge. A reply
-// other than ok (closing, or a chaos proxy's injected failure) is an error.
-func (g *Gateway) queryStatus(j int, timeout time.Duration) (int, error) {
-	g.met.connAttempts[j].Add(1)
-	r, err := g.pools[j].roundTrip(g.ctx, g.frameID.Add(1), kindStatus, time.Now().Add(timeout))
-	if err != nil {
-		return 0, err
-	}
-	if r.Status != statusOK {
-		return 0, fmt.Errorf("status query answered %s", r.Status)
-	}
-	if !(r.Value >= 0 && r.Value <= math.MaxInt32) || r.Value != math.Trunc(r.Value) {
-		return 0, fmt.Errorf("status query answered depth %g", r.Value)
-	}
-	g.met.queueDepth[j].Store(int64(r.Value))
-	return int(r.Value), nil
-}
-
-// reequilibrate re-solves the load-balancing game over the effective
-// machine set — each backend's capacity scaled by its health weight —
-// through SolveTable and hot-swaps the routing table, exactly as
-// dist.Supervise re-converges the reduced game after an ejection. A table
-// that sheds installs its degraded-mode admission with it, so the installed
-// equilibrium is always feasible. With every backend cut off the gateway
-// sheds everything and keeps its table (each pick fails closed with 503
-// anyway) until a trial passes. A failed solve falls back to proportional
-// renormalization of the current profile, which at least removes the dead
-// machines.
-func (g *Gateway) reequilibrate(weights []float64) {
-	t, err := g.SolveTable(g.cfg.Arrivals, weights, nil)
-	shed := shedFor(t)
-	switch {
-	case errors.Is(err, errNoCapacity):
-		shed = &shedConfig{AdmitFrac: 0, RetryAfter: "1"}
-	case err != nil:
-		g.met.solveFailures.Add(1)
-		alive := make([]bool, len(weights))
-		muEff := make([]float64, len(weights))
-		for j, w := range weights {
-			alive[j] = w > 0
-			muEff[j] = g.cfg.Rates[j] * w
-		}
-		t.Profile = renormalizeExclude(g.Profile(), alive, muEff)
-	}
-	var table *routeTable
-	if t.Profile != nil {
-		if table, err = newRouteTable(t.Profile, len(g.cfg.Rates)); err != nil {
-			return
-		}
-	}
-	g.installMu.Lock()
-	defer g.installMu.Unlock()
-	if table == nil {
-		table = g.table.Load()
-	}
-	if g.installLocked(table, shed, nil) {
-		g.met.reequils.Add(1)
-	}
-}
-
-// installable guards routing-table installs: unlike the users' best
-// responses — computed against *estimated* loads — the gateway knows the
-// configured arrival rates, so it can refuse a profile whose implied true
-// utilization would push some backend past the saturation threshold. Best
-// responses built on transiently underestimated loads (a momentarily
-// drained queue) would otherwise drive a backend to the edge of capacity
-// until the next correction.
-func (g *Gateway) installable(p game.Profile) bool {
-	for j, l := range g.sys.Loads(p) {
-		if l >= g.cfg.Rates[j]*saturationRho {
-			return false
-		}
-	}
-	return true
-}
-
-// pollDepths queries every backend's queue depth concurrently. A sweep is
-// used only when every backend answered: the balancer needs a consistent
-// vector. Close aborts a sweep in flight instead of waiting out the backend
-// timeout.
-func (g *Gateway) pollDepths() ([]int, bool) {
-	n := len(g.cfg.Backends)
-	depths := make([]int, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for j := 0; j < n; j++ {
-		j := j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			depths[j], errs[j] = g.queryStatus(j, g.cfg.Timeout)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, false
-		}
-	}
-	return depths, true
-}
-
-// updateSaturation smooths the polled depths, inverts them to load
-// estimates (Remark 2), and raises the saturation flag when every backend's
-// estimated utilization is at or above 1.
-func (g *Gateway) updateSaturation(depths []int) {
-	obs := make([]float64, len(depths))
-	for j, d := range depths {
-		obs[j] = g.smooth[j].Observe(float64(d))
-	}
-	loads, err := g.est.Loads(obs)
-	if err != nil {
-		return
-	}
-	saturated := true
-	for j, l := range loads {
-		if l < g.cfg.Rates[j]*saturationRho {
-			saturated = false
-			break
-		}
-	}
-	g.satur.Store(saturated)
-}
-
-// saturationRho is the estimated-utilization threshold at which a backend
-// counts as saturated for admission control. The queue-length inversion
-// lambda = mu*L/(1+L) approaches mu only asymptotically, so the threshold
-// sits just below 1 (L = 19 maps to rho 0.95).
-const saturationRho = 0.95

@@ -102,8 +102,7 @@ func (h *healthTracker) weights() []float64 {
 func (h *healthTracker) allow(j int) bool { return h.brs[j].Allow() }
 
 // nominal reports whether every backend is closed and fully ramped — the
-// state in which the health layer defers to the online re-equilibration
-// loop entirely.
+// state in which the health layer defers to the online balancer entirely.
 func (h *healthTracker) nominal() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -45,17 +45,17 @@ type gatewayMetrics struct {
 	backendRequests []atomic.Int64 // forwarded and answered 200
 	backendRejects  []atomic.Int64 // backend replied queue full or closing (503)
 	backendErrors   []atomic.Int64 // failed replies, transport failures after retries
-	queueDepth      []atomic.Int64 // jobs in system at the last probe or poll
+	queueDepth      []atomic.Int64 // jobs in system at the last passing probe
 	connOpened      []atomic.Int64 // fresh work-hop dials per backend
-	connAttempts    []atomic.Int64 // forward attempts, probes and polls per backend
+	connAttempts    []atomic.Int64 // forward attempts and probes per backend
 	userAdmitted    []atomic.Int64 // admitted requests per user (arrival estimation)
 	admitted        atomic.Int64
 	rejectedRate    atomic.Int64 // token bucket said no
-	rejectedSat     atomic.Int64 // estimated rho_j >= 1 everywhere
+	rejectedSat     atomic.Int64 // estimated rho_j >= saturationRho everywhere
 	rejectedUser    atomic.Int64 // malformed/unknown user id
 	rejectedDrain   atomic.Int64 // refused because the gateway is draining
 	rebalances      atomic.Int64
-	polls           atomic.Int64
+	polls           atomic.Int64 // complete status sweeps
 	shed            atomic.Int64 // degraded-mode 503s (load shed)
 	reequils        atomic.Int64 // health-driven routing installs
 	tableInstalls   atomic.Int64 // control-plane routing tables installed
@@ -159,7 +159,7 @@ type Snapshot struct {
 	BackendRejects []int64
 	BackendErrors  []int64
 	// QueueDepth is the jobs-in-system gauge per backend, read by the last
-	// probe or depth poll.
+	// passing probe.
 	QueueDepth []int64
 	// ConnOpened and ConnReused count, per backend pool, connections dialed
 	// fresh and warm reuses off the idle pool (attempts minus dials — the
@@ -181,8 +181,10 @@ type Snapshot struct {
 	RejectedSat   int64
 	RejectedUser  int64
 	RejectedDrain int64
-	Rebalances    int64
-	Polls         int64
+	// Rebalances counts the balancer's installed best responses; Polls
+	// counts complete status sweeps.
+	Rebalances int64
+	Polls      int64
 	// Shed counts degraded-mode refusals; Reequilibrations counts
 	// health-driven routing installs; TableInstalls counts control-plane
 	// (fleet) routing tables applied; BreakerOpens counts breaker trips;
@@ -291,7 +293,7 @@ func (m *gatewayMetrics) render(b *strings.Builder) {
 	for j := range m.backendErrors {
 		w("nashgate_backend_errors_total{backend=\"%d\"} %d\n", j, m.backendErrors[j].Load())
 	}
-	w("# HELP nashgate_backend_queue_depth Jobs in system at the last probe or poll.\n")
+	w("# HELP nashgate_backend_queue_depth Jobs in system at the last passing probe.\n")
 	w("# TYPE nashgate_backend_queue_depth gauge\n")
 	for j := range m.queueDepth {
 		w("nashgate_backend_queue_depth{backend=\"%d\"} %d\n", j, m.queueDepth[j].Load())
@@ -307,7 +309,7 @@ func (m *gatewayMetrics) render(b *strings.Builder) {
 	w("# HELP nashgate_rebalances_total Routing-table hot swaps installed.\n")
 	w("# TYPE nashgate_rebalances_total counter\n")
 	w("nashgate_rebalances_total %d\n", m.rebalances.Load())
-	w("# HELP nashgate_polls_total Queue-depth polling sweeps completed.\n")
+	w("# HELP nashgate_polls_total Complete status sweeps: probe sweeps every backend answered.\n")
 	w("# TYPE nashgate_polls_total counter\n")
 	w("nashgate_polls_total %d\n", m.polls.Load())
 	w("# HELP nashgate_reequilibrations_total Health-driven routing installs.\n")

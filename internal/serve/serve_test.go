@@ -391,10 +391,11 @@ func TestGatewayRebalances(t *testing.T) {
 	// the re-equilibration loop must move the profile toward the 50/50
 	// equilibrium as it observes the (empty) queues.
 	g, _ := newTestCluster(t, GatewayConfig{
-		Arrivals:  []float64{100},
-		Profile:   game.Profile{{0.95, 0.05}},
-		PollEvery: 10 * time.Millisecond,
-		Alpha:     0.5,
+		Arrivals:    []float64{100},
+		Profile:     game.Profile{{0.95, 0.05}},
+		ProbeEvery:  10 * time.Millisecond,
+		UpdateEvery: 1,
+		Alpha:       0.5,
 	}, []float64{2000, 2000})
 
 	testutil.WaitFor(t, 5*time.Second, "re-equilibration loop never installed a new profile", func() bool {

@@ -30,8 +30,8 @@ import (
 //
 // A backend answers a status query at once, outside its FCFS queue: ok with
 // its jobs in system, or closing while it shuts down. The gateway's health
-// probes and queue-depth polls are status queries on the pooled connections
-// that carry jobs. A backend that does not speak this version refuses the
+// probes, which also read the queue depths, are status queries on the
+// pooled connections that carry jobs. A backend that does not speak this version refuses the
 // upgrade, and the gateway counts that as a failed attempt: gateway and
 // backend must run the same version.
 

@@ -476,7 +476,6 @@ func TestStatusRidesTheWorkHop(t *testing.T) {
 		Backends:   urls,
 		Rates:      []float64{10, 20},
 		Arrivals:   []float64{3},
-		PollEvery:  10 * time.Millisecond,
 		ProbeEvery: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -541,13 +540,13 @@ func TestBackendAnswersStatusOutsideQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.closeConns)
-	if ok, errText := g.probe(0); ok || !strings.Contains(errText, "closing") {
-		t.Fatalf("probe of a closing backend: ok %v, error %q", ok, errText)
+	if _, err := g.probe(0); err == nil || !strings.Contains(err.Error(), "closing") {
+		t.Fatalf("probe of a closing backend: error %v", err)
 	}
 }
 
-// TestProbesFillDepthGauge: with probes on and no depth polls, the gateway
-// still reports a backend's jobs in system, on /metrics and /backends.
+// TestProbesFillDepthGauge: with probes on, the gateway reports a backend's
+// jobs in system, on /metrics and /backends.
 func TestProbesFillDepthGauge(t *testing.T) {
 	b := startBackend(t, BackendConfig{Rate: 1, Seed: 12}) // first job ~1.2 s
 	g, err := NewGateway(GatewayConfig{
@@ -584,9 +583,6 @@ func TestProbesFillDepthGauge(t *testing.T) {
 	if st.Backends[0].QueueDepth != 1 || b.Depth() != 1 {
 		t.Fatalf("/backends queue_depth %d with %d jobs in system, want 1", st.Backends[0].QueueDepth, b.Depth())
 	}
-	if polls := g.Metrics().Polls; polls != 0 {
-		t.Fatalf("%d depth polls without PollEvery", polls)
-	}
 }
 
 // TestProbesReuseOneConnection: on an idle gateway, sequential probes share
@@ -600,8 +596,8 @@ func TestProbesReuseOneConnection(t *testing.T) {
 	t.Cleanup(g.closeConns)
 	const n = 5
 	for k := 0; k < n; k++ {
-		if ok, errText := g.probe(0); !ok {
-			t.Fatalf("probe %d failed: %s", k, errText)
+		if _, err := g.probe(0); err != nil {
+			t.Fatalf("probe %d failed: %v", k, err)
 		}
 	}
 	if snap := g.Metrics(); snap.ConnOpened[0] != 1 || snap.ConnReused[0] != n-1 {
@@ -622,8 +618,8 @@ func TestProbeRejectsMalformedDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.met.queueDepth[0].Store(7)
-		if ok, errText := g.probe(0); ok || !strings.Contains(errText, "depth") {
-			t.Errorf("depth %g: probe ok %v, error %q", v, ok, errText)
+		if _, err := g.probe(0); err == nil || !strings.Contains(err.Error(), "depth") {
+			t.Errorf("depth %g: probe error %v", v, err)
 		}
 		if d := g.Metrics().QueueDepth[0]; d != 7 {
 			t.Errorf("depth %g: gauge moved to %d", v, d)
